@@ -12,20 +12,16 @@ from .diagnostics import (
     SweepReport,
     average_right_density,
     detect_peaks,
-    eigenstate_center_of_mass,
     floquet_dos,
     fold_quasienergy,
     midgap_report,
     pearson,
-    sambe_ipr,
     spearman,
 )
 from .dynamics import (
     DriveSignal,
     Trajectory,
-    min_left_population,
     min_left_population_grid,
-    monodromy_quasienergies,
     monodromy_quasienergies_sweep,
     propagate,
     quasienergy_gap,
@@ -41,9 +37,7 @@ from .errors import (
 from .landscape import (
     LandscapeResult,
     eigenmode_bound_report,
-    landscape_max_total,
     near_null_profile,
-    soft_center_of_mass,
     solve_landscape,
 )
 from .linalg import (
@@ -51,14 +45,10 @@ from .linalg import (
     EigResult,
     Operator,
     PseudoSolveResult,
-    SvdResult,
-    bessel_j0,
     eig_general,
     eig_hermitian,
     normal_operator,
     pseudo_solve,
-    smallest_singular_value,
-    svd,
 )
 from .models import (
     FourierDrive,
@@ -77,9 +67,9 @@ from .models import (
 from .sambe import (
     SambeIndexMap,
     SambeOperator,
+    build_sambe,
     build_sambe_duo,
     build_sambe_mono,
-    sambe_weight_profile,
 )
 
 __version__ = "0.1.0"

@@ -14,11 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DegenerateInputError,
-    DimensionError,
-    NormalizationError,
-)
+from .errors import DegenerateInputError, DimensionError
 from .landscape import solve_landscape
 from .linalg import (
     DEFAULT_RCOND,
@@ -27,7 +23,6 @@ from .linalg import (
     eig_general,
     eig_hermitian,
     hermiticity_defect,
-    weighted_mean_site,
 )
 
 
@@ -37,11 +32,6 @@ def average_right_density(op: Operator) -> np.ndarray:
     weights = np.abs(eig.vectors) ** 2
     weights /= weights.sum(axis=0)
     return weights.mean(axis=1)
-
-
-def eigenstate_center_of_mass(density: np.ndarray) -> float:
-    """Density-weighted mean site index, sites counted 1..N."""
-    return weighted_mean_site(density)
 
 
 def pearson(x: np.ndarray, y: np.ndarray) -> float:
@@ -80,15 +70,6 @@ def spearman(x: np.ndarray, y: np.ndarray) -> float:
     if xa.shape != ya.shape or xa.ndim != 1 or xa.size < 2:
         raise DimensionError("spearman needs two equal-length vectors of size >= 2")
     return pearson(_average_ranks(xa), _average_ranks(ya))
-
-
-def sambe_ipr(vec: np.ndarray) -> float:
-    """Inverse participation ratio sum |c_i|^4 of a normalized vector."""
-    v = np.asarray(vec)
-    norm = np.linalg.norm(v)
-    if abs(norm - 1.0) > 1e-10:
-        raise NormalizationError(f"vector norm {norm} is not 1 within 1e-10")
-    return float((np.abs(v) ** 4).sum())
 
 
 def fold_quasienergy(energy, omega: float):
@@ -146,9 +127,11 @@ def detect_peaks(series: np.ndarray, grid: np.ndarray, min_prominence_ratio: flo
     """Prominent strict local maxima of a sampled curve.
 
     A peak's prominence is its height above the higher of the two flanking
-    valley bottoms; peaks below min_prominence_ratio times the global
-    maximum are dropped.  Positions and heights are refined by a three-point
-    parabola.  Returns a list of (position, height) in grid order.
+    valley bottoms; peaks below min_prominence_ratio times the range
+    max - min of the series are dropped, so adding a constant to the series
+    keeps the same peaks.  Positions and heights are refined by a
+    three-point parabola.  Returns a list of (position, height) in grid
+    order.
     """
     s = np.asarray(series, dtype=float)
     g = np.asarray(grid, dtype=float)
@@ -156,7 +139,7 @@ def detect_peaks(series: np.ndarray, grid: np.ndarray, min_prominence_ratio: flo
         raise DimensionError("detect_peaks needs equal-length 1d series/grid of size >= 3")
     if not 0.0 < min_prominence_ratio < 1.0:
         raise ValueError("min_prominence_ratio must lie in (0, 1)")
-    threshold = min_prominence_ratio * float(s.max())
+    threshold = min_prominence_ratio * float(s.max() - s.min())
     peaks = []
     for i in range(1, s.size - 1):
         if not (s[i] > s[i - 1] and s[i] > s[i + 1]):

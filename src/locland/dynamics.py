@@ -37,9 +37,6 @@ class DriveSignal:
         if any(w <= 0.0 for w in self.frequencies):
             raise ValueError("drive frequencies must be positive")
 
-    def signal(self, t: float) -> float:
-        return float(sum(a * math.cos(w * t) for a, w in zip(self.amplitudes, self.frequencies)))
-
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
@@ -128,17 +125,6 @@ def propagate(drive: DriveSignal, psi0: np.ndarray, t_end: float, dt: float | No
     return Trajectory(times=times, states=states, p_left=np.abs(states[:, 0]) ** 2)
 
 
-def min_left_population(
-    drive: DriveSignal, psi0: np.ndarray, n_periods: int, dt: float | None = None
-) -> float:
-    """min_t P_L(t) over n_periods of the first drive tone."""
-    if n_periods < 1:
-        raise ValueError("n_periods must be >= 1")
-    period = 2.0 * math.pi / drive.frequencies[0]
-    traj = propagate(drive, psi0, n_periods * period, dt)
-    return float(traj.p_left.min())
-
-
 def min_left_population_grid(
     j_coupling: float,
     amplitude_pairs: np.ndarray,
@@ -196,45 +182,24 @@ def _propagate_monodromy(j_coupling, amps, freqs, dt):
     return psi.reshape(n_batch, 2, 2).transpose(0, 2, 1)
 
 
-def monodromy_quasienergies(drive: DriveSignal, dt: float | None = None) -> tuple:
-    """Folded quasienergy pair from the one-period propagator U(T).
-
-    U(T) is integrated with the same RK4 stepper; its unitarity is checked
-    to 1e-8 and an AccuracyError flags a too-coarse dt.  Eigenphases are
-    folded into [-omega/2, omega/2) and returned sorted.
-    """
-    if len(drive.frequencies) != 1:
-        raise ValueError("monodromy_quasienergies needs a monochromatic drive")
-    if dt is None:
-        dt = default_time_step(drive)
-    _check_time_step(dt, drive.frequencies)
-    freqs = np.asarray(drive.frequencies, dtype=float)
-    amps = np.asarray(drive.amplitudes, dtype=float)[None, :]
-    u = _propagate_monodromy(drive.j_coupling, amps, freqs, dt)[0]
-    defect = np.abs(u.conj().T @ u - np.eye(2)).max()
-    if defect > 1e-8:
-        raise AccuracyError(f"monodromy propagator non-unitary at {defect:.2e}; reduce dt")
-    omega = freqs[0]
-    period = 2.0 * math.pi / omega
-    eps = fold_quasienergy(-np.angle(np.linalg.eigvals(u)) / period, omega)
-    eps = np.sort(eps)
-    return float(eps[0]), float(eps[1])
-
-
 def monodromy_quasienergies_sweep(
     j_coupling: float, amplitudes: np.ndarray, omega: float, dt: float | None = None
 ) -> np.ndarray:
     """Folded quasienergy pairs for a family of monochromatic amplitudes.
 
-    Returns an (n, 2) array with rows sorted ascending; matches the scalar
-    monodromy_quasienergies point by point.
+    U(T) is integrated with the same RK4 stepper as propagate(); its
+    unitarity is checked to 1e-8 and an AccuracyError flags a too-coarse dt.
+    Eigenphases fold into [-omega/2, omega/2); returns an (n, 2) array with
+    rows sorted ascending.  Row k does not depend on the other amplitudes.
     """
-    amps = np.asarray(amplitudes, dtype=float)[:, None]
+    amps = np.asarray(amplitudes, dtype=float)
+    if amps.ndim != 1:
+        raise ValueError("the sweep takes one amplitude per point (one tone)")
     freqs = np.array([float(omega)])
     if dt is None:
         dt = 2.0 * math.pi / omega / STEPS_PER_PERIOD
     _check_time_step(dt, freqs)
-    u = _propagate_monodromy(j_coupling, amps, freqs, dt)
+    u = _propagate_monodromy(j_coupling, amps[:, None], freqs, dt)
     defect = np.abs(u.conj().transpose(0, 2, 1) @ u - np.eye(2)).max()
     if defect > 1e-8:
         raise AccuracyError(f"monodromy propagator non-unitary at {defect:.2e}; reduce dt")

@@ -22,7 +22,6 @@ from .diagnostics import (
     _parabolic_vertex,
     average_right_density,
     detect_peaks,
-    eigenstate_center_of_mass,
     floquet_dos,
     format_number,
     midgap_report,
@@ -38,7 +37,7 @@ from .dynamics import (
 )
 from .errors import ConfigError
 from .landscape import near_null_profile, solve_landscape
-from .linalg import Operator, eig_hermitian, pseudo_solve, normal_operator
+from .linalg import Operator, eig_hermitian, normal_operator, pseudo_solve, weighted_mean_site
 from .models import (
     SshConfig,
     aah_drive,
@@ -52,7 +51,7 @@ from .models import (
     two_level_drive_mono,
     two_level_static,
 )
-from .sambe import build_sambe_duo, build_sambe_mono
+from .sambe import build_sambe
 
 GOLDEN_RATIO_CONJUGATE = (math.sqrt(5.0) - 1.0) / 2.0
 SQRT2 = math.sqrt(2.0)
@@ -197,7 +196,7 @@ def _hn_point(r: float, n_sites: int, t_left: float, rcond: float) -> dict:
         "v_max_tot": res.v_max,
         "sigma_min": res.sigma_min,
         "soft_com": res.soft_com,
-        "x_cm": eigenstate_center_of_mass(density),
+        "x_cm": weighted_mean_site(density),
         "density": density,
         "amplitude": res.amplitude,
     }
@@ -243,7 +242,7 @@ def run_hn(config: RunConfig) -> SweepReport:
 
 def _cdt_mono_point(u: float, j_coupling: float, omega: float, truncation: int, rcond: float) -> dict:
     h0 = two_level_static(j_coupling)
-    lifted = build_sambe_mono(h0, two_level_drive_mono(u * omega), omega, truncation)
+    lifted = build_sambe(h0, two_level_drive_mono(u * omega), (omega,), (truncation,))
     res = solve_landscape(lifted.matrix, rcond)
     return {"v_max_tot": res.v_max, "sigma_min": res.sigma_min}
 
@@ -308,7 +307,7 @@ def _cdt_duo_point(pair, j_coupling, omega1, omega2, m1, m2, rcond) -> dict:
     a_u, b_u = pair
     h0 = two_level_static(j_coupling)
     drive = two_level_drive_duo(a_u * omega1, b_u * omega1)
-    lifted = build_sambe_duo(h0, drive, omega1, omega2, m1, m2)
+    lifted = build_sambe(h0, drive, (omega1, omega2), (m1, m2))
     res = solve_landscape(lifted.matrix, rcond)
     return {"v_max_tot": res.v_max, "sigma_min": res.sigma_min}
 
@@ -421,7 +420,7 @@ def run_cdt_duo(config: RunConfig) -> SweepReport:
 def _aah_point(omega, n_sites, hopping, lambda0, amplitude, alpha, theta, truncation, bin_width, rcond):
     h0 = aah_static(n_sites, hopping, lambda0, alpha, theta)
     drive = aah_drive(n_sites, amplitude, alpha, theta)
-    lifted = build_sambe_mono(h0, drive, omega, truncation)
+    lifted = build_sambe(h0, drive, (omega,), (truncation,))
     res = solve_landscape(lifted.matrix, rcond, index_map=lifted.index_map)
     eig = eig_hermitian(lifted.matrix)
     ipr = (np.abs(eig.vectors) ** 4).sum(axis=0)

@@ -106,9 +106,7 @@ def solve_landscape(
     right = vh.conj().T[:, keep]
     v = right @ ((right.conj().T @ np.ones(op.dim, dtype=complex)) / sigma[keep] ** 2)
     amplitude = np.abs(v)
-    site_weights = amplitude
-    if index_map is not None:
-        site_weights = amplitude.reshape(index_map.sector_count, index_map.base_dim).sum(axis=0)
+    site_weights = amplitude if index_map is None else index_map.site_sum(amplitude)
     return LandscapeResult(
         amplitude=amplitude,
         v_complex=v,
@@ -139,16 +137,6 @@ def near_null_profile(op: Operator, rcond: float = DEFAULT_RCOND) -> np.ndarray:
         return np.zeros(op.dim)
     right = vh.conj().T[:, drop]
     return np.abs(right @ (right.conj().T @ np.ones(op.dim, dtype=complex)))
-
-
-def soft_center_of_mass(amplitude: np.ndarray) -> float:
-    """Amplitude-weighted mean site index, sites counted 1..N."""
-    return weighted_mean_site(amplitude)
-
-
-def landscape_max_total(op: Operator, rcond: float = DEFAULT_RCOND) -> float:
-    """Convenience composition: max_j |v_j| of the landscape of H."""
-    return solve_landscape(op, rcond).v_max
 
 
 def eigenmode_bound_report(op: Operator, rcond: float = DEFAULT_RCOND) -> list:

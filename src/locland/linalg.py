@@ -1,15 +1,15 @@
 """Dense complex linear algebra kernel.
 
 Everything downstream works with small dense matrices (d <~ 10^4), so the
-kernel stays deliberately simple: Hermitian eigendecompositions and full
-SVDs via LAPACK, a pseudoinverse solve with an explicit spectral cutoff,
-and the regular Bessel function J0 needed by the driven two-level runs.
+kernel stays deliberately simple: Hermitian and general eigendecompositions
+via LAPACK, the normal operator H^dag H, a pseudoinverse solve with an
+explicit spectral cutoff, and the weighted mean site shared by the center
+of mass indicators.
 All functions are pure; results never share mutable state with the inputs.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,15 +59,6 @@ class EigResult:
     values: np.ndarray
     vectors: np.ndarray
     label: str = ""
-
-
-@dataclass(frozen=True, eq=False)
-class SvdResult:
-    """Full SVD with nonincreasing singular values, H = U diag(s) V^dag."""
-
-    singular_values: np.ndarray
-    left_vectors: np.ndarray
-    right_vectors: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,17 +122,6 @@ def eig_general(op: Operator) -> EigResult:
     return EigResult(values=values, vectors=vectors, label=label)
 
 
-def svd(op: Operator) -> SvdResult:
-    """Full singular value decomposition H = U diag(s) V^dag."""
-    u, s, vh = np.linalg.svd(op.entries)
-    return SvdResult(singular_values=s, left_vectors=u, right_vectors=vh.conj().T)
-
-
-def smallest_singular_value(op: Operator) -> float:
-    """sigma_min(H) = min over unit x of ||H x||_2."""
-    return float(np.linalg.svd(op.entries, compute_uv=False)[-1])
-
-
 def pseudo_solve(op: Operator, b: np.ndarray, rcond: float = DEFAULT_RCOND) -> PseudoSolveResult:
     """Solve A x = b for Hermitian PSD A through its eigendecomposition.
 
@@ -172,60 +152,6 @@ def pseudo_solve(op: Operator, b: np.ndarray, rcond: float = DEFAULT_RCOND) -> P
     vk = vecs[:, keep]
     x = vk @ ((vk.conj().T @ rhs) / w[keep])
     return PseudoSolveResult(x=x, kept_rank=kept, discarded_rank=op.dim - kept, degenerate=False)
-
-
-# ---------------------------------------------------------------------------
-# Bessel J0
-# ---------------------------------------------------------------------------
-
-_J0_SERIES_CUT = 12.0
-_J0_RANGE = 50.0
-
-
-def bessel_j0(x: float) -> float:
-    """Regular Bessel function J0 on |x| < 50.
-
-    Power series in (x/2)^2 up to |x| = 12, Hankel asymptotic expansion with
-    optimal truncation beyond.  Absolute error stays below 1e-10 across the
-    supported range (the experiments only need |x| < 50).
-    """
-    x = float(x)
-    if not math.isfinite(x) or abs(x) >= _J0_RANGE:
-        raise ValueError(f"bessel_j0 supports |x| < {_J0_RANGE}, got {x}")
-    ax = abs(x)
-    if ax <= _J0_SERIES_CUT:
-        q = 0.25 * ax * ax
-        term = 1.0
-        total = 1.0
-        for k in range(1, 200):
-            term *= -q / (k * k)
-            total += term
-            if abs(term) < 1e-18:
-                break
-        return total
-    # J0 = sqrt(2/(pi x)) [P cos(x - pi/4) - Q sin(x - pi/4)] with
-    # P, Q built from a_k = prod_{j<=k} (2j-1)^2 / (k! 8^k); stop at the
-    # smallest term of the (divergent) asymptotic series.
-    chi = ax - 0.25 * math.pi
-    p_sum, q_sum = 1.0, 0.0
-    a_term = 1.0
-    prev = math.inf
-    for k in range(1, 40):
-        a_term *= (2 * k - 1) ** 2 / (8.0 * k)
-        term = a_term / ax**k
-        if term >= prev:
-            break
-        prev = term
-        r = k % 4
-        if r == 1:
-            q_sum -= term
-        elif r == 2:
-            p_sum -= term
-        elif r == 3:
-            q_sum += term
-        else:
-            p_sum += term
-    return math.sqrt(2.0 / (math.pi * ax)) * (p_sum * math.cos(chi) - q_sum * math.sin(chi))
 
 
 def weighted_mean_site(weights: np.ndarray) -> float:

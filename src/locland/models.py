@@ -27,13 +27,12 @@ class FourierDrive:
     ``blocks`` maps a harmonic key (int for a single drive tone, (int, int)
     pair for two tones) to the operator multiplying exp(i m w t).  All the
     drives built here are cosines, so every block is Hermitian and
-    block(-m) = block(m)^dag holds exactly.  ``frequencies`` is optional
-    metadata; the Sambe builders take the drive frequencies explicitly.
+    blocks[-m] = blocks[m]^dag holds exactly.  The drive frequencies are
+    not stored here; the Sambe builder takes them explicitly.
     """
 
     blocks: dict
     base_dim: int
-    frequencies: tuple = ()
 
     def __post_init__(self):
         for key, block in self.blocks.items():
@@ -42,9 +41,6 @@ class FourierDrive:
                     f"drive block {key} has dim {block.dim}, expected {self.base_dim}"
                 )
 
-    def block(self, key):
-        """Operator for one harmonic key, or None if absent."""
-        return self.blocks.get(key)
 
 
 @dataclass(frozen=True)

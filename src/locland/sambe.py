@@ -1,15 +1,17 @@
 """Extended-space lift of a static Hamiltonian plus a periodic drive.
 
-A drive with one tone maps onto a block matrix over harmonic sectors
-m = -M..M: sector (m, m') holds the drive block for harmonic m - m', and the
-diagonal sectors pick up the ladder shift m * hbar * omega.  Two
-incommensurate tones use a pair of harmonic indices with the shift
-m1 w1 + m2 w2.  Flat indices run site-fastest, then m1, then m2, so site
-profiles come out of a plain reshape.
+A drive with N incommensurate tones maps onto a block matrix over harmonic
+sectors m = (m1, ..., mN) with -M_i <= m_i <= M_i: the diagonal sectors hold
+h0 plus the ladder shift hbar (m1 w1 + ... + mN wN), and sector (m, m')
+holds the drive block for harmonic m - m'.  In Kronecker form this is
+I_S (x) h0 + diag(m . w) (x) I_n + sum_k S_k (x) B_k.  Flat indices run
+site-fastest, then m1, then m2 and so on, so site profiles come out of a
+plain reshape; SambeIndexMap is the one owner of that order.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,47 +28,48 @@ class SambeIndexMap:
     """Bijection between flat extended-space indices and (site, harmonics).
 
     Sites are 0-based array rows here (site n of the physics conventions is
-    row n-1); harmonics run in [-M_i, M_i] for each drive tone.
+    row n-1); harmonics run in [-M_i, M_i] for each drive tone.  Flat index
+    = sector * base_dim + site, and row s of ``harmonics`` holds the
+    harmonics of sector s.
     """
 
     base_dim: int
     truncations: tuple
 
+    def __post_init__(self):
+        if any(m < 0 for m in self.truncations):
+            raise ValueError(f"truncations must be >= 0, got {self.truncations}")
+
     @property
     def sector_count(self) -> int:
-        n = 1
-        for m in self.truncations:
-            n *= 2 * m + 1
-        return n
+        return math.prod(2 * m + 1 for m in self.truncations)
 
     @property
     def flat_dim(self) -> int:
         return self.base_dim * self.sector_count
 
-    def flatten(self, site: int, *harmonics: int) -> int:
-        if len(harmonics) != len(self.truncations):
-            raise DimensionError(
-                f"expected {len(self.truncations)} harmonic indices, got {len(harmonics)}"
-            )
-        if not 0 <= site < self.base_dim:
-            raise ValueError(f"site {site} out of range [0, {self.base_dim})")
-        idx = 0
-        for m, trunc in zip(reversed(harmonics), reversed(self.truncations)):
-            if not -trunc <= m <= trunc:
-                raise ValueError(f"harmonic {m} out of range [-{trunc}, {trunc}]")
-            idx = idx * (2 * trunc + 1) + (m + trunc)
-        return idx * self.base_dim + site
+    @property
+    def _shape(self) -> tuple:
+        # slowest tone first, so a C-order ravel runs m1 fastest
+        return tuple(2 * m + 1 for m in reversed(self.truncations))
 
-    def unflatten(self, flat_index: int) -> tuple:
-        if not 0 <= flat_index < self.flat_dim:
-            raise ValueError(f"flat index {flat_index} out of range [0, {self.flat_dim})")
-        site = flat_index % self.base_dim
-        rest = flat_index // self.base_dim
-        harmonics = []
-        for trunc in self.truncations:
-            harmonics.append(rest % (2 * trunc + 1) - trunc)
-            rest //= 2 * trunc + 1
-        return (site, *harmonics)
+    @property
+    def harmonics(self) -> np.ndarray:
+        """(sector_count, tones) table of the harmonics of every sector, in flat order."""
+        index = np.indices(self._shape).reshape(len(self.truncations), -1)
+        return index[::-1].T - np.array(self.truncations, dtype=int)
+
+    def sectors(self, harmonics) -> np.ndarray:
+        """Sector index of each row of a (..., tones) harmonic array; inverts ``harmonics``."""
+        shifted = np.asarray(harmonics) + np.array(self.truncations, dtype=int)
+        return np.ravel_multi_index(tuple(np.moveaxis(shifted, -1, 0)[::-1]), self._shape)
+
+    def site_sum(self, values: np.ndarray) -> np.ndarray:
+        """Sum a flat extended-space vector over harmonics: w(site) = sum_m values(site, m)."""
+        v = np.asarray(values)
+        if v.shape != (self.flat_dim,):
+            raise DimensionError(f"vector has shape {v.shape}, expected ({self.flat_dim},)")
+        return v.reshape(self.sector_count, self.base_dim).sum(axis=0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,68 +79,57 @@ class SambeOperator:
     matrix: Operator
     index_map: SambeIndexMap
     frequencies: tuple
-    hbar: float = HBAR
 
 
-def _place_blocks(mat, drive, sector_shifts, sector_of, n, truncations):
-    """Add drive blocks at every sector pair (m, m') with m - m' = key."""
-    dropped = []
-    for key, block in drive.blocks.items():
-        delta = (key,) if isinstance(key, int) else tuple(key)
-        placed = False
-        for row_sector, row_harm in sector_shifts:
-            col_harm = tuple(m - d for m, d in zip(row_harm, delta))
-            if all(-t <= m <= t for m, t in zip(col_harm, truncations)):
-                col_sector = sector_of(col_harm)
-                r0, c0 = row_sector * n, col_sector * n
-                mat[r0 : r0 + n, c0 : c0 + n] += block.entries
-                placed = True
-        if not placed:
-            dropped.append(key)
-    return dropped
+def build_sambe(h0: Operator, drive: FourierDrive, omegas, truncations) -> SambeOperator:
+    """Lift h0 plus an N-tone drive onto the harmonic sectors |m_i| <= M_i.
 
-
-def build_sambe_mono(h0: Operator, drive: FourierDrive, omega: float, truncation: int) -> SambeOperator:
-    """Lift h0 plus a single-tone drive onto harmonics m = -M..M.
-
-    Diagonal sectors hold h0 + m omega I; sector (m, m') holds the drive
-    block for harmonic m - m' where one exists.  Drive harmonics beyond the
-    |m - m'| <= 2M window cannot couple any retained sectors; they are
-    dropped silently and noted in the matrix label.
+    Diagonal sectors hold h0 + (m . omega) I; sector (m, m - delta) holds the
+    drive block keyed by delta (an int for one tone, an N-tuple otherwise).
+    Drive harmonics that couple no pair of retained sectors are dropped and
+    noted in the matrix label.  A key with the wrong number of tones raises
+    DimensionError.
     """
-    if omega <= 0.0:
-        raise ValueError("omega must be positive")
-    if truncation < 0:
-        raise ValueError("truncation must be >= 0")
+    omegas = tuple(omegas)
+    truncations = tuple(truncations)
+    if not omegas or len(omegas) != len(truncations):
+        raise DimensionError(f"{len(omegas)} frequencies for {len(truncations)} truncations")
+    if any(w <= 0.0 for w in omegas):
+        raise ValueError("drive frequencies must be positive")
     if drive.base_dim != h0.dim:
         raise DimensionError(f"drive base_dim {drive.base_dim} != h0 dim {h0.dim}")
-    n = h0.dim
-    index_map = SambeIndexMap(base_dim=n, truncations=(truncation,))
-    d = index_map.flat_dim
-    mat = np.zeros((d, d), dtype=complex)
-    eye = np.eye(n, dtype=complex)
-    sector_shifts = []
-    for m in range(-truncation, truncation + 1):
-        sector = m + truncation
-        r0 = sector * n
-        mat[r0 : r0 + n, r0 : r0 + n] = h0.entries + m * HBAR * omega * eye
-        sector_shifts.append((sector, (m,)))
-    dropped = _place_blocks(
-        mat,
-        drive,
-        sector_shifts,
-        sector_of=lambda harm: harm[0] + truncation,
-        n=n,
-        truncations=(truncation,),
-    )
-    label = f"sambe_mono(M={truncation},omega={omega})"
+    index_map = SambeIndexMap(base_dim=h0.dim, truncations=truncations)
+    harmonics = index_map.harmonics
+    n, s = h0.dim, index_map.sector_count
+    mat = np.zeros((s, n, s, n), dtype=complex)
+    diag = np.arange(s)
+    shifts = sum(harmonics[:, i] * HBAR * w for i, w in enumerate(omegas))
+    mat[diag, :, diag, :] = h0.entries + shifts[:, None, None] * np.eye(n, dtype=complex)
+    dropped = []
+    for key, block in drive.blocks.items():
+        delta = np.atleast_1d(key)
+        if delta.shape != (len(omegas),):
+            raise DimensionError(f"drive key {key!r} does not name {len(omegas)} tones")
+        target = harmonics - delta
+        inside = np.all(np.abs(target) <= truncations, axis=1)
+        if not inside.any():
+            dropped.append(key)
+            continue
+        mat[diag[inside], :, index_map.sectors(target[inside]), :] += block.entries
+
+    label = f"sambe(M={truncations},omega={omegas})"
     if dropped:
         label += f" truncated_harmonics={sorted(dropped)}"
     return SambeOperator(
-        matrix=Operator(mat, label=label),
+        matrix=Operator(mat.reshape(index_map.flat_dim, index_map.flat_dim), label=label),
         index_map=index_map,
-        frequencies=(omega,),
+        frequencies=omegas,
     )
+
+
+def build_sambe_mono(h0: Operator, drive: FourierDrive, omega: float, truncation: int) -> SambeOperator:
+    """One-tone build_sambe: harmonics m = -M..M, drive keyed by int."""
+    return build_sambe(h0, drive, (omega,), (truncation,))
 
 
 def build_sambe_duo(
@@ -148,49 +140,5 @@ def build_sambe_duo(
     truncation1: int,
     truncation2: int,
 ) -> SambeOperator:
-    """Lift h0 plus a two-tone drive onto the harmonic plane (m1, m2).
-
-    The diagonal shift is m1 omega1 + m2 omega2 and drive blocks are keyed
-    by harmonic pairs.  Flat order: site fastest, then m1, then m2.
-    """
-    if omega1 <= 0.0 or omega2 <= 0.0:
-        raise ValueError("omega1, omega2 must be positive")
-    if truncation1 < 0 or truncation2 < 0:
-        raise ValueError("truncations must be >= 0")
-    if drive.base_dim != h0.dim:
-        raise DimensionError(f"drive base_dim {drive.base_dim} != h0 dim {h0.dim}")
-    n = h0.dim
-    trunc = (truncation1, truncation2)
-    index_map = SambeIndexMap(base_dim=n, truncations=trunc)
-    d = index_map.flat_dim
-    mat = np.zeros((d, d), dtype=complex)
-    eye = np.eye(n, dtype=complex)
-
-    def sector_of(harm):
-        return (harm[1] + truncation2) * (2 * truncation1 + 1) + (harm[0] + truncation1)
-
-    sector_shifts = []
-    for m2 in range(-truncation2, truncation2 + 1):
-        for m1 in range(-truncation1, truncation1 + 1):
-            sector = sector_of((m1, m2))
-            r0 = sector * n
-            shift = m1 * HBAR * omega1 + m2 * HBAR * omega2
-            mat[r0 : r0 + n, r0 : r0 + n] = h0.entries + shift * eye
-            sector_shifts.append((sector, (m1, m2)))
-    dropped = _place_blocks(mat, drive, sector_shifts, sector_of, n, trunc)
-    label = f"sambe_duo(M1={truncation1},M2={truncation2},omega1={omega1},omega2={omega2})"
-    if dropped:
-        label += f" truncated_harmonics={sorted(dropped)}"
-    return SambeOperator(
-        matrix=Operator(mat, label=label),
-        index_map=index_map,
-        frequencies=(omega1, omega2),
-    )
-
-
-def sambe_weight_profile(vec: np.ndarray, index_map: SambeIndexMap) -> np.ndarray:
-    """Marginalize |Psi|^2 over harmonics: w(site) = sum_m |Psi(site, m)|^2."""
-    v = np.asarray(vec)
-    if v.shape != (index_map.flat_dim,):
-        raise DimensionError(f"vector has shape {v.shape}, expected ({index_map.flat_dim},)")
-    return (np.abs(v.reshape(index_map.sector_count, index_map.base_dim)) ** 2).sum(axis=0)
+    """Two-tone build_sambe: harmonic plane (m1, m2), drive keyed by pairs."""
+    return build_sambe(h0, drive, (omega1, omega2), (truncation1, truncation2))

@@ -2,12 +2,14 @@
 
 Every routine here deliberately avoids the code path it is used to check:
 determinants come from LU instead of eigensolvers, linear solves from
-hand-rolled Gaussian elimination, Bessel values from the defining series
-and from quadrature, spectra from closed-form formulas.
+hand-rolled Gaussian elimination, Bessel zeros from the defining series,
+spectra from closed-form formulas, and extended-space matrices entry by
+entry from the Sambe formula.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -96,15 +98,6 @@ def j0_series(x: float, terms: int = 40) -> float:
     return total
 
 
-def j0_quadrature(x: float, n_panels: int = 20000) -> float:
-    """(1/pi) integral_0^pi cos(x sin t) dt by composite Simpson."""
-    ts = np.linspace(0.0, math.pi, 2 * n_panels + 1)
-    f = np.cos(x * np.sin(ts))
-    h = ts[1] - ts[0]
-    simpson = (h / 3.0) * (f[0] + f[-1] + 4.0 * f[1:-1:2].sum() + 2.0 * f[2:-1:2].sum())
-    return float(simpson / math.pi)
-
-
 def j0_zero_bisection(bracket_lo: float, bracket_hi: float, tol: float = 1e-12) -> float:
     """Root of the J0 power series inside a sign-changing bracket."""
     lo, hi = bracket_lo, bracket_hi
@@ -124,3 +117,31 @@ def open_chain_spectrum(n_sites: int, hopping: float) -> np.ndarray:
     """Eigenvalues 2 t cos(k pi / (N+1)) of the uniform open chain."""
     k = np.arange(1, n_sites + 1)
     return np.sort(2.0 * hopping * np.cos(k * math.pi / (n_sites + 1)))
+
+
+def sambe_entry_oracle(h0: np.ndarray, blocks: dict, omegas, truncations) -> np.ndarray:
+    """Extended-space matrix written out entry by entry.
+
+    H[(i, m), (j, m')] = h0[i, j] delta_mm' + (m . omega) delta_ij delta_mm'
+    + B_{m - m'}[i, j], with flat index sector * n + i and sectors counted
+    with m1 fastest.  ``blocks`` maps harmonic keys (int for one tone) to
+    plain arrays.
+    """
+    n = h0.shape[0]
+    ranges = [range(-m, m + 1) for m in reversed(truncations)]
+    sectors = [tuple(reversed(h)) for h in itertools.product(*ranges)]
+    keyed = {(k,) if isinstance(k, int) else tuple(k): b for k, b in blocks.items()}
+    out = np.zeros((n * len(sectors), n * len(sectors)), dtype=complex)
+    for a, m in enumerate(sectors):
+        shift = sum(mi * w for mi, w in zip(m, omegas))
+        for b, mp in enumerate(sectors):
+            block = keyed.get(tuple(x - y for x, y in zip(m, mp)))
+            for i in range(n):
+                for j in range(n):
+                    entry = h0[i, j] if a == b else 0.0
+                    if a == b and i == j:
+                        entry = entry + shift
+                    if block is not None:
+                        entry = entry + block[i, j]
+                    out[a * n + i, b * n + j] = entry
+    return out

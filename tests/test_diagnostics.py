@@ -9,7 +9,6 @@ import scipy.stats
 from locland import (
     DegenerateInputError,
     DimensionError,
-    NormalizationError,
     Operator,
     SshConfig,
     SweepReport,
@@ -17,16 +16,15 @@ from locland import (
     bbh,
     bbh_site_coords,
     detect_peaks,
-    eigenstate_center_of_mass,
     floquet_dos,
     fold_quasienergy,
     hatano_nelson,
     midgap_report,
     pearson,
-    sambe_ipr,
     spearman,
     ssh,
 )
+from locland.linalg import weighted_mean_site
 
 from conftest import random_complex
 
@@ -53,17 +51,17 @@ class TestCenters:
     def test_point_mass(self):
         d = np.zeros(10)
         d[0] = 1.0
-        assert eigenstate_center_of_mass(d) == 1.0
+        assert weighted_mean_site(d) == 1.0
 
     def test_uniform(self):
-        assert eigenstate_center_of_mass(np.ones(11)) == pytest.approx(6.0)
+        assert weighted_mean_site(np.ones(11)) == pytest.approx(6.0)
 
     def test_weighted_pair(self):
-        assert eigenstate_center_of_mass(np.array([3.0, 1.0])) == pytest.approx(1.25)
+        assert weighted_mean_site(np.array([3.0, 1.0])) == pytest.approx(1.25)
 
     def test_degenerate(self):
         with pytest.raises(DegenerateInputError):
-            eigenstate_center_of_mass(np.zeros(3))
+            weighted_mean_site(np.zeros(3))
 
 
 class TestPearson:
@@ -122,24 +120,6 @@ class TestSpearman:
     def test_all_equal_degenerate(self):
         with pytest.raises(DegenerateInputError):
             spearman(np.ones(4), np.arange(4.0))
-
-
-class TestSambeIpr:
-    def test_basis_vector(self):
-        v = np.zeros(8)
-        v[3] = 1.0
-        assert sambe_ipr(v) == pytest.approx(1.0)
-
-    def test_uniform(self):
-        assert sambe_ipr(np.full(16, 0.25)) == pytest.approx(1.0 / 16.0)
-
-    def test_two_component(self):
-        v = np.array([math.sqrt(0.8), math.sqrt(0.2)])
-        assert sambe_ipr(v) == pytest.approx(0.68)
-
-    def test_unnormalized(self):
-        with pytest.raises(NormalizationError):
-            sambe_ipr(np.array([1.0, 1.0]))
 
 
 class TestFoldQuasienergy:
@@ -232,9 +212,20 @@ class TestDetectPeaks:
         grid = np.arange(7.0)
         series = np.array([0.0, 10.0, 0.2, 0.5, 0.2, 8.0, 0.0])
         # the bump at grid 3 rises 0.3 above its flanking valleys, below
-        # 0.1 * global max; the two real peaks rise far above theirs
+        # 0.1 * (max - min); the two real peaks rise far above theirs
         assert [round(p) for p, _ in detect_peaks(series, grid, 0.1)] == [1, 5]
         assert len(detect_peaks(series, grid, 0.001)) == 3
+
+    def test_shift_invariant(self):
+        # a 0.02 bump on a flat series: the threshold scales with max - min,
+        # not with where the series sits relative to zero
+        grid = np.linspace(0.0, 1.0, 41)
+        series = -1.0 + 0.02 * np.exp(-(((grid - 0.5) / 0.05) ** 2))
+        low = detect_peaks(series, grid)
+        high = detect_peaks(series + 10.0, grid)
+        assert len(low) == 1
+        assert [p for p, _ in high] == pytest.approx([p for p, _ in low], abs=1e-12)
+        assert [h - 10.0 for _, h in high] == pytest.approx([h for _, h in low], abs=1e-12)
 
     def test_validation(self):
         with pytest.raises(DimensionError):

@@ -9,9 +9,7 @@ from locland import (
     NormalizationError,
     build_sambe_mono,
     fold_quasienergy,
-    min_left_population,
     min_left_population_grid,
-    monodromy_quasienergies,
     monodromy_quasienergies_sweep,
     propagate,
     quasienergy_gap,
@@ -25,12 +23,19 @@ LEFT = np.array([1.0, 0.0], dtype=complex)
 PARTIAL = np.array([math.sqrt(3.0) / 2.0, 0.5], dtype=complex)
 
 
-class TestDriveSignal:
-    def test_signal_value(self):
-        drive = DriveSignal(1.0, (2.0, 0.5), (3.0, 4.0))
-        t = 0.37
-        assert drive.signal(t) == pytest.approx(2.0 * math.cos(3.0 * t) + 0.5 * math.cos(4.0 * t))
+def min_left_population(drive, psi0, n_periods, dt=None):
+    """One-row call of the batched grid."""
+    return min_left_population_grid(
+        drive.j_coupling, [drive.amplitudes], drive.frequencies, psi0, n_periods, dt
+    )[0]
 
+
+def monodromy_quasienergies(amplitude, omega, dt=None):
+    """One-row call of the batched sweep, J = 1."""
+    return monodromy_quasienergies_sweep(1.0, [amplitude], omega, dt)[0]
+
+
+class TestDriveSignal:
     def test_validation(self):
         with pytest.raises(ValueError):
             DriveSignal(1.0, (1.0,), (0.0,))
@@ -117,8 +122,8 @@ class TestMinLeftPopulationGrid:
         pairs = np.array([[24.0, 8.0], [0.0, 50.0], [13.0, 77.0], [55.0, 0.0]])
         grid = min_left_population_grid(1.0, pairs, freqs, LEFT, 7)
         for k, (a, b) in enumerate(pairs):
-            drive = DriveSignal(1.0, (a, b), freqs)
-            assert grid[k] == pytest.approx(min_left_population(drive, LEFT, 7), abs=1e-12)
+            traj = propagate(DriveSignal(1.0, (a, b), freqs), LEFT, 7 * 2.0 * math.pi / freqs[0])
+            assert grid[k] == pytest.approx(traj.p_left.min(), abs=1e-12)
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
@@ -127,40 +132,39 @@ class TestMinLeftPopulationGrid:
 
 class TestMonodromy:
     def test_static_limit(self):
-        eps = monodromy_quasienergies(DriveSignal(1.0, (0.0,), (10.0,)))
+        eps = monodromy_quasienergies(0.0, 10.0)
         assert eps[0] == pytest.approx(fold_quasienergy(-1.0, 10.0), abs=1e-10)
         assert eps[1] == pytest.approx(fold_quasienergy(1.0, 10.0), abs=1e-10)
 
     def test_gap_nearly_closes_at_suppression_point(self):
         omega = 10.0
         a_star = j0_zero_bisection(2.0, 3.0) * omega
-        eps = monodromy_quasienergies(DriveSignal(1.0, (a_star,), (omega,)))
+        eps = monodromy_quasienergies(a_star, omega)
         assert quasienergy_gap(eps, omega) <= 0.02
 
     def test_requires_monochromatic(self):
         with pytest.raises(ValueError):
-            monodromy_quasienergies(DriveSignal(1.0, (1.0, 1.0), (1.0, 2.0)))
+            monodromy_quasienergies_sweep(1.0, np.ones((3, 2)), 1.0)
 
     def test_accuracy_error_on_coarse_step(self):
         omega = 10.0
-        drive = DriveSignal(1.0, (400.0,), (omega,))
         with pytest.raises(AccuracyError):
-            monodromy_quasienergies(drive, dt=2.0 * math.pi / omega / 200.0)
+            monodromy_quasienergies(400.0, omega, dt=2.0 * math.pi / omega / 200.0)
 
     def test_sweep_matches_scalar(self):
         omega = 10.0
         amps = np.array([0.0, 11.0, 24.0, 60.0])
         sweep = monodromy_quasienergies_sweep(1.0, amps, omega)
         for k, amp in enumerate(amps):
-            scalar = monodromy_quasienergies(DriveSignal(1.0, (amp,), (omega,)))
-            assert np.abs(sweep[k] - np.array(scalar)).max() < 1e-12
+            single = monodromy_quasienergies(amp, omega)
+            assert np.abs(sweep[k] - single).max() < 1e-12
 
     def test_matches_extended_space_spectrum_moderate_drive(self):
         # at A / omega = 2 the truncated extended-space operator at M = 6 is
         # converged well past the integrator error
         omega = 10.0
         amp = 2.0 * omega
-        eps = monodromy_quasienergies(DriveSignal(1.0, (amp,), (omega,)))
+        eps = monodromy_quasienergies(amp, omega)
         lifted = build_sambe_mono(two_level_static(1.0), two_level_drive_mono(amp), omega, 6)
         sambe_min = np.abs(np.linalg.eigvalsh(lifted.matrix.entries)).min()
         assert min(abs(eps[0]), abs(eps[1])) == pytest.approx(sambe_min, abs=1e-6)

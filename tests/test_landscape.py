@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -11,14 +13,13 @@ from locland import (
     domain_wall_site,
     eigenmode_bound_report,
     hatano_nelson,
-    landscape_max_total,
     near_null_profile,
     normal_operator,
     pseudo_solve,
-    soft_center_of_mass,
     solve_landscape,
     ssh,
 )
+from locland.linalg import weighted_mean_site
 
 from conftest import random_complex, random_hermitian_pd
 
@@ -92,30 +93,34 @@ class TestNearNullProfile:
 
 class TestSoftCenterOfMass:
     def test_point_mass(self):
-        amp = np.zeros(10)
-        amp[0] = 1.0
-        assert soft_center_of_mass(amp) == 1.0
+        # a deep well at site 1 carries all but ~1e-8 of the landscape
+        res = solve_landscape(Operator(np.diag([1.0] + [1e4] * 9)))
+        assert res.soft_com == pytest.approx(1.0, abs=1e-6)
 
     def test_uniform_midpoint(self):
-        assert soft_center_of_mass(np.ones(11)) == pytest.approx(6.0)
+        assert solve_landscape(Operator(np.eye(11))).soft_com == pytest.approx(6.0)
 
     def test_weighted_pair(self):
-        assert soft_center_of_mass(np.array([3.0, 1.0])) == pytest.approx(1.25)
+        # v = (3, 1) for H = diag(1/sqrt(3), 1)
+        res = solve_landscape(Operator(np.diag([1.0 / math.sqrt(3.0), 1.0])))
+        assert res.soft_com == pytest.approx(1.25)
 
     def test_degenerate_and_negative(self):
+        res = solve_landscape(Operator(np.zeros((4, 4))))
+        assert res.degenerate and math.isnan(res.soft_com)
         with pytest.raises(DegenerateInputError):
-            soft_center_of_mass(np.zeros(4))
+            weighted_mean_site(np.zeros(4))
         with pytest.raises(ValueError):
-            soft_center_of_mass(np.array([1.0, -1.0]))
+            weighted_mean_site(np.array([1.0, -1.0]))
 
 
 class TestLandscapeMaxTotal:
     def test_identity(self):
-        assert landscape_max_total(Operator(np.eye(3))) == pytest.approx(1.0)
+        assert solve_landscape(Operator(np.eye(3))).v_max == pytest.approx(1.0)
 
     def test_blowup_near_singularity(self):
         eps = 1e-3
-        vmax = landscape_max_total(Operator(np.diag([eps, 1.0])))
+        vmax = solve_landscape(Operator(np.diag([eps, 1.0]))).v_max
         assert vmax == pytest.approx(1.0 / eps**2, rel=1e-12)
 
 

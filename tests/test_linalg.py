@@ -2,20 +2,17 @@ import math
 
 import numpy as np
 import pytest
-import scipy.special
 
 from locland import (
     AccuracyError,
     DimensionError,
     HermiticityError,
     Operator,
-    bessel_j0,
     eig_general,
     eig_hermitian,
     normal_operator,
     pseudo_solve,
-    smallest_singular_value,
-    svd,
+    solve_landscape,
 )
 from locland.models import hatano_nelson
 
@@ -23,7 +20,6 @@ from conftest import random_complex, random_hermitian_pd
 from oracles import (
     gaussian_elimination_solve,
     hermitian_eigs_bisection,
-    j0_quadrature,
     j0_series,
     j0_zero_bisection,
     triple_loop_adjoint_product,
@@ -124,38 +120,16 @@ class TestEigGeneral:
             assert resid <= 1e-8 * scale
 
 
-class TestSvd:
-    def test_identity(self):
-        assert np.allclose(svd(Operator(np.eye(4))).singular_values, 1.0)
-
-    def test_rank_one(self):
-        assert np.allclose(svd(Operator([[0, 2], [0, 0]])).singular_values, [2.0, 0.0])
-
-    def test_matches_normal_operator_eigenvalues(self, rng):
-        op = Operator(random_complex(rng, 7))
-        s = svd(op).singular_values
-        lam = eig_hermitian(normal_operator(op)).values
-        assert np.abs(s - np.sqrt(np.clip(lam, 0.0, None))[::-1]).max() < 1e-10
-
-    def test_reconstruction_and_ordering(self, rng):
-        m = random_complex(rng, 6)
-        res = svd(Operator(m))
-        rebuilt = res.left_vectors @ np.diag(res.singular_values) @ res.right_vectors.conj().T
-        assert np.abs(rebuilt - m).max() < 1e-10 * np.abs(m).max()
-        assert np.all(np.diff(res.singular_values) <= 0.0)
-        assert np.all(res.singular_values >= 0.0)
-
-
 class TestSmallestSingularValue:
     def test_identity(self):
-        assert smallest_singular_value(Operator(np.eye(5))) == pytest.approx(1.0)
+        assert solve_landscape(Operator(np.eye(5))).sigma_min == pytest.approx(1.0)
 
     def test_singular(self):
-        assert smallest_singular_value(Operator([[1, 1], [1, 1]])) == pytest.approx(0.0, abs=1e-14)
+        assert solve_landscape(Operator([[1, 1], [1, 1]])).sigma_min == pytest.approx(0.0, abs=1e-14)
 
     def test_variational_upper_bound(self, rng):
         op = Operator(random_complex(rng, 10))
-        smin = smallest_singular_value(op)
+        smin = solve_landscape(op).sigma_min
         for _ in range(100):
             x = rng.normal(size=10) + 1j * rng.normal(size=10)
             x /= np.linalg.norm(x)
@@ -165,9 +139,8 @@ class TestSmallestSingularValue:
         # near-null direction of the extended-space operator at a
         # suppression point: sigma_min <= |smallest folded quasienergy|
         from locland import (
-            DriveSignal,
             build_sambe_mono,
-            monodromy_quasienergies,
+            monodromy_quasienergies_sweep,
             two_level_drive_mono,
             two_level_static,
         )
@@ -177,10 +150,8 @@ class TestSmallestSingularValue:
         lifted = build_sambe_mono(
             two_level_static(1.0), two_level_drive_mono(a_star), omega, 6
         )
-        smin = smallest_singular_value(lifted.matrix)
-        eps = monodromy_quasienergies(
-            DriveSignal(1.0, (a_star,), (omega,)), dt=2.0 * math.pi / omega / 8000
-        )
+        smin = solve_landscape(lifted.matrix).sigma_min
+        eps = monodromy_quasienergies_sweep(1.0, [a_star], omega, dt=2.0 * math.pi / omega / 8000)[0]
         assert smin <= min(abs(eps[0]), abs(eps[1])) + 1e-9
 
 
@@ -226,44 +197,21 @@ class TestPseudoSolve:
 
 
 class TestBesselJ0:
-    def test_at_zero(self):
-        assert bessel_j0(0.0) == 1.0
-
     def test_first_zero_from_series_bisection(self):
         root = j0_zero_bisection(2.0, 3.0)
         assert abs(root - 2.404825557695773) < 1e-11
-        assert abs(bessel_j0(root)) < 1e-9
 
     def test_series_oracle_at_one(self):
         assert j0_series(1.0) == pytest.approx(0.7651976865579666, abs=1e-15)
-        assert bessel_j0(1.0) == pytest.approx(0.7651976865579666, abs=1e-12)
-
-    def test_against_quadrature(self):
-        for x in (0.5, 3.3, 7.0, 11.9, 12.1, 20.0, 35.5, 49.5):
-            assert abs(bessel_j0(x) - j0_quadrature(x)) < 1e-10
-
-    def test_against_scipy_dense_grid(self):
-        xs = np.linspace(0.0, 49.9, 2000)
-        err = max(abs(bessel_j0(x) - scipy.special.j0(x)) for x in xs)
-        assert err < 1e-10
-
-    def test_even(self):
-        assert bessel_j0(-7.3) == bessel_j0(7.3)
-
-    def test_range_error(self):
-        with pytest.raises(ValueError):
-            bessel_j0(50.0)
-        with pytest.raises(ValueError):
-            bessel_j0(-75.0)
 
 
 class TestKernelInvariants:
     def test_singular_values_vs_normal_spectrum(self, rng):
         for n in (3, 6, 11):
             op = Operator(random_complex(rng, n))
-            s = svd(op).singular_values
+            smin = solve_landscape(op).sigma_min
             lam = eig_hermitian(normal_operator(op)).values
-            assert np.abs(np.sort(s) - np.sqrt(np.clip(lam, 0.0, None))).max() < 1e-10
+            assert abs(smin - np.sqrt(max(lam[0], 0.0))) < 1e-10
 
     def test_pseudo_solve_full_rank_equals_direct(self, rng):
         m = random_hermitian_pd(rng, 8)

@@ -3,19 +3,23 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from locland import (
     DimensionError,
     FourierDrive,
     Operator,
     SambeIndexMap,
+    build_sambe,
     build_sambe_duo,
     build_sambe_mono,
-    sambe_weight_profile,
     two_level_drive_duo,
     two_level_drive_mono,
     two_level_static,
 )
+
+from oracles import sambe_entry_oracle
 
 SZ = np.diag([1.0 + 0.0j, -1.0 + 0.0j])
 
@@ -32,36 +36,31 @@ class TestIndexMap:
 
     def test_bijection_mono(self):
         index_map = SambeIndexMap(base_dim=3, truncations=(2,))
-        seen = set()
-        for site in range(3):
-            for m in range(-2, 3):
-                flat = index_map.flatten(site, m)
-                assert index_map.unflatten(flat) == (site, m)
-                seen.add(flat)
-        assert seen == set(range(index_map.flat_dim))
+        table = index_map.harmonics
+        assert table.tolist() == [[m] for m in range(-2, 3)]
+        assert np.array_equal(index_map.sectors(table), np.arange(5))
 
     def test_bijection_duo_site_fastest(self):
         index_map = SambeIndexMap(base_dim=2, truncations=(1, 2))
-        seen = set()
+        table = index_map.harmonics
+        assert table.shape == (15, 2)
         for m2 in range(-2, 3):
             for m1 in range(-1, 2):
-                for site in range(2):
-                    flat = index_map.flatten(site, m1, m2)
-                    assert index_map.unflatten(flat) == (site, m1, m2)
-                    assert flat == ((m2 + 2) * 3 + (m1 + 1)) * 2 + site
-                    seen.add(flat)
-        assert seen == set(range(index_map.flat_dim))
+                sector = (m2 + 2) * 3 + (m1 + 1)
+                assert tuple(table[sector]) == (m1, m2)
+                assert index_map.sectors([m1, m2]) == sector
+        assert np.array_equal(index_map.sectors(table), np.arange(15))
 
     def test_out_of_range(self):
         index_map = SambeIndexMap(base_dim=2, truncations=(1,))
         with pytest.raises(ValueError):
-            index_map.flatten(2, 0)
+            index_map.sectors([[2]])
         with pytest.raises(ValueError):
-            index_map.flatten(0, 2)
+            index_map.sectors([[-2]])
         with pytest.raises(ValueError):
-            index_map.unflatten(6)
-        with pytest.raises(DimensionError):
-            index_map.flatten(0, 0, 0)
+            SambeIndexMap(base_dim=2, truncations=(1, -1))
+        with pytest.raises(ValueError):
+            index_map.sectors([[0, 0]])
 
 
 class TestBuildMono:
@@ -184,24 +183,73 @@ class TestWeightProfile:
     def test_basis_vector(self):
         index_map = SambeIndexMap(base_dim=5, truncations=(2,))
         vec = np.zeros(index_map.flat_dim, dtype=complex)
-        vec[index_map.flatten(2, 0)] = 1.0
-        profile = sambe_weight_profile(vec, index_map)
+        vec[index_map.sectors([0]) * 5 + 2] = 1.0
+        profile = index_map.site_sum(np.abs(vec) ** 2)
         assert np.array_equal(profile, np.eye(5)[2])
 
     def test_uniform_vector(self):
         index_map = SambeIndexMap(base_dim=4, truncations=(1,))
         vec = np.full(index_map.flat_dim, 0.5 + 0.0j)
-        profile = sambe_weight_profile(vec, index_map)
+        profile = index_map.site_sum(np.abs(vec) ** 2)
         norm_sq = np.linalg.norm(vec) ** 2
         assert np.allclose(profile, 3.0 / index_map.flat_dim * norm_sq)
 
     def test_total_mass(self, rng):
         index_map = SambeIndexMap(base_dim=6, truncations=(2, 1))
         vec = rng.normal(size=index_map.flat_dim) + 1j * rng.normal(size=index_map.flat_dim)
-        profile = sambe_weight_profile(vec, index_map)
+        profile = index_map.site_sum(np.abs(vec) ** 2)
         assert abs(profile.sum() - np.linalg.norm(vec) ** 2) < 1e-12 * np.linalg.norm(vec) ** 2
 
     def test_length_mismatch(self):
         index_map = SambeIndexMap(base_dim=2, truncations=(1,))
         with pytest.raises(DimensionError):
-            sambe_weight_profile(np.zeros(5), index_map)
+            index_map.site_sum(np.zeros(5))
+
+
+class TestBuildSambe:
+    def test_rejects_keys_with_wrong_tone_count(self):
+        with pytest.raises(DimensionError):
+            build_sambe_mono(two_level_static(1.0), two_level_drive_duo(4.0, 8.0), 10.0, 1)
+        with pytest.raises(DimensionError):
+            build_sambe_duo(two_level_static(1.0), two_level_drive_mono(4.0), 10.0, 14.0, 1, 1)
+        with pytest.raises(DimensionError):
+            build_sambe(two_level_static(1.0), two_level_drive_mono(4.0), (10.0,), (1, 1))
+
+    def test_three_tone_pure_shift_spectrum(self):
+        omegas = (1.0, math.sqrt(2.0), math.sqrt(5.0))
+        lifted = build_sambe(Operator([[0.0]]), FourierDrive(blocks={}, base_dim=1), omegas, (1, 2, 1))
+        eigs = np.sort(np.linalg.eigvalsh(lifted.matrix.entries))
+        expected = np.sort(
+            [
+                m1 * omegas[0] + m2 * omegas[1] + m3 * omegas[2]
+                for m1 in range(-1, 2)
+                for m2 in range(-2, 3)
+                for m3 in range(-1, 2)
+            ]
+        )
+        assert lifted.index_map.flat_dim == 45
+        assert np.abs(eigs - expected).max() < 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_matches_entry_oracle(self, data):
+        tones = data.draw(st.integers(1, 3), label="tones")
+        truncations = tuple(data.draw(st.lists(st.integers(0, 3), min_size=tones, max_size=tones)))
+        omegas = tuple(
+            data.draw(st.lists(st.floats(0.1, 10.0), min_size=tones, max_size=tones), label="omegas")
+        )
+        n = data.draw(st.integers(1, 3), label="n")
+        # keys reach one step past the coupling window 2M so some are dropped
+        key = st.tuples(*[st.integers(-2 * m - 1, 2 * m + 1) for m in truncations])
+        keys = data.draw(st.lists(key, max_size=4, unique=True), label="keys")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+
+        def random_matrix():
+            return rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+
+        h0 = random_matrix()
+        blocks = {k[0] if tones == 1 else k: random_matrix() for k in keys}
+        drive = FourierDrive(blocks={k: Operator(b) for k, b in blocks.items()}, base_dim=n)
+        lifted = build_sambe(Operator(h0), drive, omegas, truncations)
+        expected = sambe_entry_oracle(h0, blocks, omegas, truncations)
+        assert np.array_equal(lifted.matrix.entries, expected)
