@@ -37,7 +37,6 @@ from .errors import (
 from .landscape import (
     LandscapeResult,
     eigenmode_bound_report,
-    near_null_profile,
     solve_landscape,
 )
 from .linalg import (
@@ -45,8 +44,9 @@ from .linalg import (
     EigResult,
     Operator,
     PseudoSolveResult,
+    Spectrum,
     eig_general,
-    eig_hermitian,
+    factorize,
     normal_operator,
     pseudo_solve,
 )

@@ -90,6 +90,8 @@ def resolve_config(experiment: str, args) -> RunConfig:
                 )
             params[key] = _cast_value(key, raw, schema[key].cast)
     _validate_counts(experiment, params)
+    if args.workers < 1:
+        raise ConfigError(f"--workers must be at least 1, got {args.workers}")
     return RunConfig(
         experiment=experiment,
         params=params,

@@ -14,16 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateInputError, DimensionError
-from .landscape import solve_landscape
-from .linalg import (
-    DEFAULT_RCOND,
-    HERMITICITY_RTOL,
-    Operator,
-    eig_general,
-    eig_hermitian,
-    hermiticity_defect,
-)
+from .errors import DegenerateInputError, DimensionError, HermiticityError
+from .landscape import LandscapeResult, solve_landscape
+from .linalg import DEFAULT_RCOND, Operator, eig_general
 
 
 def average_right_density(op: Operator) -> np.ndarray:
@@ -169,11 +162,15 @@ class MidgapMode:
 
 @dataclass(frozen=True, eq=False)
 class MidgapReport:
-    """Midgap modes of H next to the landscape peak of the same H."""
+    """Midgap modes of H next to the landscape peak of the same H.
+
+    Both are read from one factorization, carried in ``landscape``.
+    """
 
     modes: list
-    landscape_argmax_site: int  # 1-based
+    landscape_argmax_site: int  # 1-based argmax of landscape.peak_profile
     window: float
+    landscape: LandscapeResult
 
 
 def estimate_midgap_window(eigenvalues: np.ndarray) -> float:
@@ -189,39 +186,42 @@ def midgap_report(
     energy_window: float | None = None,
     rcond: float = DEFAULT_RCOND,
 ) -> MidgapReport:
-    """All eigenpairs of H with |E| inside the midgap window.
+    """All eigenpairs of a Hermitian H with |E| inside the midgap window.
 
     The window defaults to 10% of the largest spectral gap.  Each entry
     carries the site weight profile and its argmax; the report also records
-    where the landscape of the same H peaks, which is the colocalization
-    cross-reference used by the topology experiments.
+    where the landscape of the same H peaks (the argmax of its
+    peak_profile), which is the colocalization cross-reference used by the
+    topology experiments.  Modes and landscape come from the one
+    factorization of H inside solve_landscape; a non-Hermitian H raises
+    HermiticityError.
     """
-    if hermiticity_defect(op.entries) <= HERMITICITY_RTOL:
-        eig = eig_hermitian(op)
-    else:
-        eig = eig_general(op)
+    landscape = solve_landscape(op, rcond)
+    energies = landscape.spectrum.energies
+    if energies is None:
+        raise HermiticityError("midgap_report requires an exactly Hermitian operator")
     if energy_window is None:
-        energy_window = estimate_midgap_window(eig.values)
+        energy_window = estimate_midgap_window(energies)
     if energy_window < 0.0:
         raise ValueError("energy_window must be positive")
     modes = []
-    for k in np.flatnonzero(np.abs(eig.values) < energy_window):
-        weight = np.abs(eig.vectors[:, k]) ** 2
+    for k in np.flatnonzero(np.abs(energies) < energy_window):
+        weight = np.abs(landscape.spectrum.right[:, k]) ** 2
         weight = weight / weight.sum()
         modes.append(
             MidgapMode(
                 index=int(k),
-                energy=complex(eig.values[k]),
+                energy=complex(energies[k]),
                 weight=weight,
                 argmax_site=int(np.argmax(weight)) + 1,
                 participation=float(1.0 / (weight @ weight)),
             )
         )
-    landscape = solve_landscape(op, rcond)
     return MidgapReport(
         modes=modes,
-        landscape_argmax_site=int(np.argmax(landscape.amplitude)) + 1,
+        landscape_argmax_site=int(np.argmax(landscape.peak_profile)) + 1,
         window=float(energy_window),
+        landscape=landscape,
     )
 
 

@@ -10,6 +10,7 @@ results are always assembled in grid order so reruns are bit-exact.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -36,8 +37,8 @@ from .dynamics import (
     quasienergy_gap,
 )
 from .errors import ConfigError
-from .landscape import near_null_profile, solve_landscape
-from .linalg import Operator, eig_hermitian, normal_operator, pseudo_solve, weighted_mean_site
+from .landscape import eigenmode_bound_report, solve_landscape
+from .linalg import Operator, normal_operator, pseudo_solve, weighted_mean_site
 from .models import (
     SshConfig,
     aah_drive,
@@ -157,12 +158,22 @@ SCHEMAS = {
 }
 
 
+def _pool_size(workers: int, n_items: int) -> int:
+    """Worker processes worth starting: never more than cores or grid points.
+
+    A forked pool starts all of its processes at the first submit, so an
+    unclamped request would start them whether or not there is work.
+    """
+    return min(workers, os.cpu_count() or 1, n_items)
+
+
 def _grid_map(fn, items, workers: int) -> list:
     """Map fn over grid points, preserving grid order."""
-    if workers <= 1:
+    size = _pool_size(workers, len(items))
+    if size <= 1:
         return [fn(item) for item in items]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        chunk = max(1, len(items) // (workers * 4))
+    with ProcessPoolExecutor(max_workers=size) as pool:
+        chunk = max(1, len(items) // (size * 4))
         return list(pool.map(fn, items, chunksize=chunk))
 
 
@@ -422,9 +433,8 @@ def _aah_point(omega, n_sites, hopping, lambda0, amplitude, alpha, theta, trunca
     drive = aah_drive(n_sites, amplitude, alpha, theta)
     lifted = build_sambe(h0, drive, (omega,), (truncation,))
     res = solve_landscape(lifted.matrix, rcond, index_map=lifted.index_map)
-    eig = eig_hermitian(lifted.matrix)
-    ipr = (np.abs(eig.vectors) ** 4).sum(axis=0)
-    centers, density = floquet_dos(eig.values, omega, bin_width)
+    ipr = (np.abs(res.spectrum.right) ** 4).sum(axis=0)
+    centers, density = floquet_dos(res.spectrum.energies, omega, bin_width)
     return {
         "v_max_tot": res.v_max,
         "sigma_min": res.sigma_min,
@@ -509,59 +519,50 @@ def run_ssh(config: RunConfig) -> SweepReport:
     p = config.params
     window = p["window"] if p["window"] > 0.0 else None
     variants = ("topological", "trivial", "domain_wall")
-    rows = []
+    reports = {}
     for variant in variants:
         if variant == "trivial":
             cfg = SshConfig(variant, p["n_cells"], t_intra=p["t_strong"], t_inter=p["t_weak"])
         else:
             cfg = SshConfig(variant, p["n_cells"], t_intra=p["t_weak"], t_inter=p["t_strong"])
         op = ssh(cfg)
-        rep = midgap_report(op, window, p["rcond"])
-        res = solve_landscape(op, p["rcond"])
+        rep = reports[variant] = midgap_report(op, window, p["rcond"])
+        res = rep.landscape
         # exact kernels (domain wall) are dropped by the pseudoinverse; the
         # diverging landscape direction they carry is reported separately
-        null_amp = near_null_profile(op, p["rcond"])
-        peak_signal = null_amp if res.discarded_rank > 0 else res.amplitude
         sites = np.arange(1, op.dim + 1)
-        cols = [sites, res.amplitude, res.amplitude / res.amplitude.max(), null_amp]
+        cols = [sites, res.amplitude, res.amplitude / res.amplitude.max(), res.near_null]
         header = ["site", "landscape_amp", "landscape_norm", "near_null_amp"]
         for k, mode in enumerate(rep.modes):
             header.append(f"midgap_weight_{k}")
             cols.append(mode.weight)
         _write_profile_csv(config.out_dir / f"profile_{variant}.csv", header, cols)
-        rows.append((variant, op, rep, res, peak_signal))
 
-    by_variant = {row[0]: row for row in rows}
-    sigma_ratio = by_variant["trivial"][3].sigma_min / by_variant["topological"][3].sigma_min
+    top, trivial, dw = (reports[v] for v in variants)
+    sigma_ratio = trivial.landscape.sigma_min / top.landscape.sigma_min
     wall = domain_wall_site(p["n_cells"])
     checks = {
-        "topological_mode_count_is_2": len(by_variant["topological"][2].modes) == 2,
-        "trivial_mode_count_is_0": len(by_variant["trivial"][2].modes) == 0,
-        "domain_wall_mode_count_is_1": len(by_variant["domain_wall"][2].modes) == 1,
+        "topological_mode_count_is_2": len(top.modes) == 2,
+        "trivial_mode_count_is_0": len(trivial.modes) == 0,
+        "domain_wall_mode_count_is_1": len(dw.modes) == 1,
         "sigma_ratio_at_least_100": bool(sigma_ratio >= 100.0),
     }
-    coloc_top = _colocalization_checks(
-        by_variant["topological"][2], by_variant["topological"][4], 3
-    )
+    coloc_top = _colocalization_checks(top, top.landscape.peak_profile, 3)
     checks["topological_colocalized"] = bool(
         all(coloc_top["per_mode_peak"]) and coloc_top["global_argmax_near_mode"]
     )
-    dw_rep, dw_signal = by_variant["domain_wall"][2], by_variant["domain_wall"][4]
     checks["domain_wall_mode_at_wall"] = bool(
-        dw_rep.modes and abs(dw_rep.modes[0].argmax_site - wall) <= 1
+        dw.modes and abs(dw.modes[0].argmax_site - wall) <= 1
     )
-    checks["domain_wall_landscape_at_wall"] = bool(
-        abs(int(np.argmax(dw_signal)) + 1 - wall) <= 3
-    )
+    checks["domain_wall_landscape_at_wall"] = bool(abs(dw.landscape_argmax_site - wall) <= 3)
+    rows = list(reports.values())
     return SweepReport(
         axes={"variant_index": np.arange(float(len(rows)))},
         columns={
-            "n_midgap": np.array([len(r[2].modes) for r in rows], dtype=float),
-            "sigma_min": np.array([r[3].sigma_min for r in rows]),
-            "v_max_tot": np.array([r[3].v_max for r in rows]),
-            "landscape_argmax_site": np.array(
-                [float(np.argmax(r[4])) + 1 for r in rows]
-            ),
+            "n_midgap": np.array([len(r.modes) for r in rows], dtype=float),
+            "sigma_min": np.array([r.landscape.sigma_min for r in rows]),
+            "v_max_tot": np.array([r.landscape.v_max for r in rows]),
+            "landscape_argmax_site": np.array([float(r.landscape_argmax_site) for r in rows]),
         },
         metadata={
             "experiment": "ssh",
@@ -569,7 +570,7 @@ def run_ssh(config: RunConfig) -> SweepReport:
             "wall_site": wall,
             "sigma_ratio_trivial_over_topological": float(sigma_ratio),
             "near_null_peak_used": {
-                r[0]: bool(r[3].discarded_rank > 0) for r in rows
+                v: bool(r.landscape.discarded_rank > 0) for v, r in reports.items()
             },
             "checks": checks,
             "all_checks_pass": bool(all(checks.values())),
@@ -582,7 +583,7 @@ def run_bbh(config: RunConfig) -> SweepReport:
     window = p["window"] if p["window"] > 0.0 else None
     op = bbh(p["n_x"], p["n_y"], p["gamma"], p["lam"])
     rep = midgap_report(op, window, p["rcond"])
-    res = solve_landscape(op, p["rcond"])
+    res = rep.landscape
     lx, ly = 2 * p["n_x"], 2 * p["n_y"]
     cols_i = np.array([bbh_site_coords(k, p["n_x"])[0] for k in range(op.dim)])
     cols_j = np.array([bbh_site_coords(k, p["n_x"])[1] for k in range(op.dim)])
@@ -674,10 +675,8 @@ def run_bounds(config: RunConfig) -> SweepReport:
     chain_ok = res.v_max <= l2 * (1 + 1e-8) and l2 <= math.sqrt(d) / res.sigma_min**2 * (1 + 1e-8)
     results["norm_bound_chain"] = {"passed": bool(chain_ok), "value": float(l2)}
 
-    hermitian = np.abs(op.entries - op.entries.conj().T).max() <= 1e-12 * max(
-        1.0, float(np.abs(op.entries).max())
-    )
-    pd = hermitian and float(np.linalg.eigvalsh(op.entries)[0]) > 0.0
+    energies = res.spectrum.energies
+    pd = energies is not None and float(energies.min()) > 0.0
     if pd:
         u = np.linalg.solve(op.entries, np.ones(d, dtype=complex))
         v_ref = np.linalg.solve(op.entries, u)
@@ -690,15 +689,13 @@ def run_bounds(config: RunConfig) -> SweepReport:
     err_consistency = float(np.abs(eig_route.x - res.v_complex).max() / np.abs(res.v_complex).max())
     # the eigendecomposition route squares the condition number, so the two
     # routes can only be compared where sigma_min^2 is resolvable in doubles
-    comparable = res.sigma_min**2 >= 1e-10 * float(np.linalg.norm(op.entries, 2)) ** 2
+    comparable = res.sigma_min**2 >= 1e-10 * float(res.spectrum.sigma.max()) ** 2
     results["pseudoinverse_consistency"] = {
         "passed": bool(err_consistency <= 1e-8) if comparable else None,
         "value": err_consistency,
     }
 
-    from .landscape import eigenmode_bound_report
-
-    ratios = [ratio for _, ratio in eigenmode_bound_report(op, rcond)]
+    ratios = [ratio for _, ratio in eigenmode_bound_report(res)]
     max_ratio = float(max(ratios))
     results["eigenmode_bound"] = {
         "passed": bool(max_ratio <= 1.0 + 1e-8) if pd else None,

@@ -8,18 +8,12 @@ value, which is what makes v_max a gap-closing and localization diagnostic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import AccuracyError, DegenerateInputError, DimensionError
-from .linalg import (
-    DEFAULT_RCOND,
-    Operator,
-    eig_hermitian,
-    normal_operator,
-    weighted_mean_site,
-)
+from .linalg import DEFAULT_RCOND, Operator, Spectrum, factorize, weighted_mean_site
 from .sambe import SambeIndexMap
 
 #: slack allowed when validating the norm-bound chain on every solve
@@ -28,10 +22,13 @@ _BOUND_RTOL = 1e-8
 
 @dataclass(frozen=True, eq=False)
 class LandscapeResult:
-    """Solution of one landscape solve.
+    """Solution of one landscape solve, with the factorization it came from.
 
-    amplitude is |v| over the full space; soft_com is the amplitude-weighted
-    mean site (harmonics marginalized out first for extended-space solves).
+    amplitude is |v| over the full space; near_null is |P 1| with P the
+    projector on the directions the cutoff discarded (zeros if none);
+    peak_profile is near_null when it is nonzero and amplitude otherwise;
+    soft_com is the peak_profile-weighted mean site (harmonics marginalized
+    out first for extended-space solves).
     Construction validates v_max = max amplitude and, for nondegenerate
     solves with sigma_min > 0, the chain
     v_max <= ||v||_2 <= sqrt(d) / sigma_min^2.
@@ -45,6 +42,9 @@ class LandscapeResult:
     rcond_used: float
     discarded_rank: int
     degenerate: bool = False
+    spectrum: Spectrum | None = None
+    near_null: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    peak_profile: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
     def __post_init__(self):
         if self.amplitude.shape != self.v_complex.shape:
@@ -71,93 +71,78 @@ def solve_landscape(
 ) -> LandscapeResult:
     """Solve H^dag H v = 1 with a spectral cutoff at rcond * sigma_max^2.
 
-    The solve runs on the SVD of H itself, v = V diag(s^-2) V^dag 1 over
-    singular values with s^2 > rcond * s_max^2.  Algebraically this is the
-    cutoff pseudoinverse of H^dag H, but factorizing H before squaring
-    keeps the small singular directions of strongly non-normal operators
-    (skin-effect chains, deep midgap modes) at full relative accuracy,
-    where an eigendecomposition of H^dag H would drown them in roundoff.
-    Agreement with the pseudo_solve route on well-conditioned input is a
-    tested invariant.
+    The solve runs on one factorization of H itself (linalg.factorize),
+    v = V diag(s^-2) V^dag 1 over singular values with s^2 > rcond *
+    s_max^2.  Algebraically this is the cutoff pseudoinverse of H^dag H,
+    but factorizing H before squaring keeps the small singular directions
+    of strongly non-normal operators (skin-effect chains, deep midgap
+    modes) at full relative accuracy, where an eigendecomposition of
+    H^dag H would drown them in roundoff.  Agreement with the pseudo_solve
+    route on well-conditioned input is a tested invariant.
+
+    The discarded directions are not lost: along an exact (or numerically
+    exact) kernel the landscape of the regularized problem
+    (H^dag H + mu) v = 1 converges for mu -> 0 to the kernel component of
+    1, which is what near_null records and what peak_profile and soft_com
+    then follow.
 
     For extended-space operators pass the index map so the soft center of
-    mass is taken over sites after summing |v| across harmonic sectors.
+    mass is taken over sites after summing across harmonic sectors.
     A fully degenerate H (all singular values below the cutoff) yields the
     zero vector with the degenerate flag set.
     """
     if not 0.0 < rcond < 1.0:
         raise ValueError(f"rcond must lie in (0, 1), got {rcond}")
-    sigma, vh = np.linalg.svd(op.entries)[1:]
-    sigma_min = float(sigma[-1])
-    keep = sigma**2 > rcond * sigma[0] ** 2
+    spectrum = factorize(op)
+    sigma = spectrum.sigma
+    keep = sigma**2 > rcond * sigma.max() ** 2
     kept = int(np.count_nonzero(keep))
-    if kept == 0:
-        zero = np.zeros(op.dim, dtype=complex)
-        return LandscapeResult(
-            amplitude=np.abs(zero),
-            v_complex=zero,
-            v_max=0.0,
-            soft_com=float("nan"),
-            sigma_min=sigma_min,
-            rcond_used=rcond,
-            discarded_rank=op.dim,
-            degenerate=True,
-        )
-    right = vh.conj().T[:, keep]
-    v = right @ ((right.conj().T @ np.ones(op.dim, dtype=complex)) / sigma[keep] ** 2)
+    ones = np.ones(op.dim, dtype=complex)
+    dropped = spectrum.right[:, ~keep]
+    near_null = np.abs(dropped @ (dropped.conj().T @ ones))
+    right = spectrum.right[:, keep]
+    v = right @ ((right.conj().T @ ones) / sigma[keep] ** 2)
     amplitude = np.abs(v)
-    site_weights = amplitude if index_map is None else index_map.site_sum(amplitude)
+    peak = near_null if near_null.any() else amplitude
+    if kept == 0:
+        soft_com = float("nan")
+    else:
+        soft_com = weighted_mean_site(peak if index_map is None else index_map.site_sum(peak))
     return LandscapeResult(
         amplitude=amplitude,
         v_complex=v,
         v_max=float(amplitude.max()),
-        soft_com=weighted_mean_site(site_weights),
-        sigma_min=sigma_min,
+        soft_com=soft_com,
+        sigma_min=float(sigma.min()),
         rcond_used=rcond,
         discarded_rank=op.dim - kept,
+        degenerate=kept == 0,
+        spectrum=spectrum,
+        near_null=near_null,
+        peak_profile=peak,
     )
 
 
-def near_null_profile(op: Operator, rcond: float = DEFAULT_RCOND) -> np.ndarray:
-    """Limiting landscape direction carried by sub-cutoff singular values.
-
-    Along an exact (or numerically exact) kernel the landscape amplitude
-    diverges and its cutoff pseudoinverse drops the direction entirely; the
-    normalized landscape of the regularized problem (H^dag H + mu) 1
-    converges for mu -> 0 to the kernel component of the all-ones vector.
-    This returns |P 1| with P the projector on the discarded right-singular
-    subspace: the shape the diverging landscape peak would have.  All zeros
-    when no direction falls below the cutoff.
-    """
-    if not 0.0 < rcond < 1.0:
-        raise ValueError(f"rcond must lie in (0, 1), got {rcond}")
-    sigma, vh = np.linalg.svd(op.entries)[1:]
-    drop = sigma**2 <= rcond * sigma[0] ** 2
-    if not drop.any():
-        return np.zeros(op.dim)
-    right = vh.conj().T[:, drop]
-    return np.abs(right @ (right.conj().T @ np.ones(op.dim, dtype=complex)))
-
-
-def eigenmode_bound_report(op: Operator, rcond: float = DEFAULT_RCOND) -> list:
+def eigenmode_bound_report(result: LandscapeResult) -> list:
     """Measure the eigenmode confinement ratio for every mode of H^dag H.
 
-    For each eigenpair (lam, phi) of H^dag H this reports
-    max_j |phi_j| / (lam ||phi||_inf |v_j|).  A value <= 1 confirms the
-    landscape bound for that mode.  Ratios above 1 are reported, not
-    suppressed: away from the Hermitian elliptic setting the bound is an
-    empirical question, and this report is the measurement.
+    The eigenpairs of H^dag H are (sigma^2, right) of the factorization the
+    landscape was solved from; mode k is the k-th smallest eigenvalue.  For
+    each (lam, phi) this reports max_j |phi_j| / (lam ||phi||_inf |v_j|).
+    A value <= 1 confirms the landscape bound for that mode.  Ratios above
+    1 are reported, not suppressed: away from the Hermitian elliptic
+    setting the bound is an empirical question, and this report is the
+    measurement.
     """
-    result = solve_landscape(op, rcond)
     if result.degenerate or result.discarded_rank > 0:
         raise DegenerateInputError(
             "eigenmode bound needs sigma_min above the pseudoinverse cutoff"
         )
-    eig = eig_hermitian(normal_operator(op))
+    spectrum = result.spectrum
     report = []
-    for k in range(eig.values.size):
-        lam = float(eig.values[k])
-        phi = np.abs(eig.vectors[:, k])
+    for k, col in enumerate(np.argsort(spectrum.sigma, kind="stable")):
+        lam = float(spectrum.sigma[col]) ** 2
+        phi = np.abs(spectrum.right[:, col])
         with np.errstate(divide="ignore", invalid="ignore"):
             ratios = phi / (lam * phi.max() * result.amplitude)
         report.append((k, float(np.nanmax(ratios))))

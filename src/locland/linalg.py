@@ -1,10 +1,11 @@
 """Dense complex linear algebra kernel.
 
 Everything downstream works with small dense matrices (d <~ 10^4), so the
-kernel stays deliberately simple: Hermitian and general eigendecompositions
-via LAPACK, the normal operator H^dag H, a pseudoinverse solve with an
-explicit spectral cutoff, and the weighted mean site shared by the center
-of mass indicators.
+kernel stays deliberately simple: the one factorization of H that every
+landscape observable is read from, right eigenpairs of a general matrix,
+the normal operator H^dag H, a pseudoinverse solve with an explicit
+spectral cutoff (the independent oracle route), and the weighted mean site
+shared by the center of mass indicators.
 All functions are pure; results never share mutable state with the inputs.
 """
 
@@ -62,6 +63,16 @@ class EigResult:
 
 
 @dataclass(frozen=True, eq=False)
+class Spectrum:
+    """Singular values of H, right singular vectors (column k pairs with
+    sigma[k]) and, for exactly Hermitian H only, the matching eigenvalues."""
+
+    sigma: np.ndarray
+    right: np.ndarray
+    energies: np.ndarray | None = None
+
+
+@dataclass(frozen=True, eq=False)
 class PseudoSolveResult:
     """Solution of a cutoff pseudoinverse solve plus rank bookkeeping."""
 
@@ -87,17 +98,18 @@ def normal_operator(op: Operator) -> Operator:
     return Operator(out, label=f"normal({op.label})" if op.label else "normal")
 
 
-def eig_hermitian(op: Operator) -> EigResult:
-    """Eigendecomposition of a Hermitian operator.
+def factorize(op: Operator) -> Spectrum:
+    """The one factorization of H that the landscape and its observables share.
 
-    Values are real and ascending, vectors orthonormal.  Raises
-    HermiticityError if the input deviates from Hermiticity by more than
-    HERMITICITY_RTOL relative to its Frobenius norm.
+    Exactly Hermitian H goes through eigh, since its right singular vectors
+    are its eigenvectors: sigma = |lambda|, in eigh order (ascending
+    lambda).  Any other H goes through the SVD, with energies None.
     """
-    if hermiticity_defect(op.entries) > HERMITICITY_RTOL:
-        raise HermiticityError("matrix is not Hermitian within tolerance")
-    values, vectors = np.linalg.eigh(op.entries)
-    return EigResult(values=values, vectors=vectors, label=op.label)
+    if hermiticity_defect(op.entries) == 0.0:
+        energies, right = np.linalg.eigh(op.entries)
+        return Spectrum(sigma=np.abs(energies), right=right, energies=energies)
+    sigma, vh = np.linalg.svd(op.entries)[1:]
+    return Spectrum(sigma=sigma, right=vh.conj().T)
 
 
 def eig_general(op: Operator) -> EigResult:

@@ -5,9 +5,18 @@ import math
 import numpy as np
 import pytest
 
+from locland import experiments
 from locland.cli import load_config_file, main, resolve_config
 from locland.errors import ConfigError
-from locland.experiments import SCHEMAS
+from locland.experiments import (
+    GOLDEN_RATIO_CONJUGATE,
+    SCHEMAS,
+    RunConfig,
+    _aah_point,
+    _pool_size,
+    run_bbh,
+    run_ssh,
+)
 
 
 def run_cli(args):
@@ -103,6 +112,11 @@ class TestCliExitCodes:
         code = run_cli(["hn", "--out", str(tmp_path), "--set", "bogus=1"])
         assert code == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_workers_below_one_exits_2(self, tmp_path, capsys):
+        code = run_cli(["hn", "--out", str(tmp_path), "--workers", "0"])
+        assert code == 2
+        assert "--workers" in capsys.readouterr().err
 
     def test_failed_checks_exit_3(self, tmp_path, capsys):
         # gamma = lam closes the gap: no four-mode corner structure
@@ -291,3 +305,50 @@ class TestEndToEnd:
         assert "numpy" in manifest["versions"]
         assert manifest["wall_time_s"] > 0.0
         assert "report.csv" in manifest["outputs"]
+
+
+class TestGridMap:
+    def test_pool_size_clamped_to_cores_and_items(self, monkeypatch):
+        # arithmetic only: no pool is started
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+        assert _pool_size(1000, 50) == 2
+        assert _pool_size(8, 1) == 1
+        assert _pool_size(1, 50) == 1
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: None)
+        assert _pool_size(4, 50) == 1
+
+
+class TestOneFactorization:
+    """Each operator is factorized once; every observable reads that factorization."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = {}
+        for name in ("svd", "eigh", "eigvalsh", "eig"):
+
+            def counted(*args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+                counts[_name] = counts.get(_name, 0) + 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        return counts
+
+    @staticmethod
+    def default_config(experiment, out_dir):
+        params = {key: entry.default for key, entry in SCHEMAS[experiment].items()}
+        return RunConfig(experiment=experiment, params=params, out_dir=out_dir)
+
+    def test_ssh_one_per_variant(self, calls, tmp_path):
+        run_ssh(self.default_config("ssh", tmp_path))
+        assert sum(calls.values()) == 3
+
+    def test_bbh_one(self, calls, tmp_path):
+        run_bbh(self.default_config("bbh", tmp_path))
+        assert sum(calls.values()) == 1
+
+    def test_aah_point_one_eigh(self, calls):
+        _aah_point(
+            2.5, n_sites=8, hopping=1.0, lambda0=2.8, amplitude=3.7,
+            alpha=GOLDEN_RATIO_CONJUGATE, theta=0.0, truncation=1, bin_width=0.01, rcond=1e-12,
+        )
+        assert calls == {"eigh": 1}

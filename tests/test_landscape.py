@@ -10,10 +10,10 @@ from locland import (
     Operator,
     SambeIndexMap,
     SshConfig,
+    average_right_density,
     domain_wall_site,
     eigenmode_bound_report,
     hatano_nelson,
-    near_null_profile,
     normal_operator,
     pseudo_solve,
     solve_landscape,
@@ -61,6 +61,17 @@ class TestSolveLandscape:
         with pytest.raises(ValueError):
             solve_landscape(Operator(np.eye(2)), rcond=0.0)
 
+    @pytest.mark.parametrize("r", [0.7, 1.3])
+    def test_discarded_skin_direction_keeps_center_at_edge(self, r):
+        # at N = 200 the skin singular value falls under rcond = 1e-24 and is
+        # discarded; the center follows the discarded direction, not mid-chain
+        op = hatano_nelson(200, 1.0, r)
+        res = solve_landscape(op, rcond=1e-24)
+        assert res.discarded_rank >= 1
+        edge = int(np.argmax(average_right_density(op))) + 1
+        assert edge in (1, 200)
+        assert abs(res.soft_com - edge) <= 10.0
+
     def test_site_marginalized_soft_com(self, rng):
         index_map = SambeIndexMap(base_dim=4, truncations=(1,))
         m = random_hermitian_pd(rng, index_map.flat_dim)
@@ -72,7 +83,7 @@ class TestSolveLandscape:
 
 class TestNearNullProfile:
     def test_zero_when_full_rank(self):
-        profile = near_null_profile(Operator(np.eye(4)))
+        profile = solve_landscape(Operator(np.eye(4))).near_null
         assert np.array_equal(profile, np.zeros(4))
 
     def test_matches_kernel_component_of_ones(self):
@@ -80,13 +91,13 @@ class TestNearNullProfile:
         kernel = np.array([2.0, -1.0, 0.0]) / np.sqrt(5.0)
         basis = np.linalg.qr(np.column_stack([kernel, np.eye(3)[:, :2]]))[0]
         m = basis @ np.diag([0.0, 1.0, 2.0]) @ basis.conj().T
-        profile = near_null_profile(Operator(m))
+        profile = solve_landscape(Operator(m)).near_null
         expected = np.abs(kernel * (kernel @ np.ones(3)))
         assert np.abs(profile - expected).max() < 1e-12
 
     def test_domain_wall_kernel_peaks_at_wall(self):
         op = ssh(SshConfig("domain_wall", 12, t_intra=0.5, t_inter=1.0))
-        profile = near_null_profile(op, rcond=1e-24)
+        profile = solve_landscape(op, rcond=1e-24).near_null
         assert profile.max() > 0.0
         assert int(np.argmax(profile)) + 1 == domain_wall_site(12)
 
@@ -126,14 +137,14 @@ class TestLandscapeMaxTotal:
 
 class TestEigenmodeBoundReport:
     def test_diagonal_ratios_are_one(self):
-        report = eigenmode_bound_report(Operator(np.diag([1.0, 2.0, 3.0])))
+        report = eigenmode_bound_report(solve_landscape(Operator(np.diag([1.0, 2.0, 3.0]))))
         assert len(report) == 3
         for _, ratio in report:
             assert ratio == pytest.approx(1.0, abs=1e-12)
 
     def test_anderson_type_chain_bound_holds(self, rng):
         m = anderson_type_chain(rng, 40)
-        report = eigenmode_bound_report(Operator(m))
+        report = eigenmode_bound_report(solve_landscape(Operator(m)))
         # independent recomputation of the worst ratio from a fresh
         # diagonalization, element by element
         lam, phi = np.linalg.eigh(m.conj().T @ m)
@@ -146,14 +157,14 @@ class TestEigenmodeBoundReport:
             assert ratio <= 1.0 + 1e-8
 
     def test_skin_chain_report_generated(self):
-        report = eigenmode_bound_report(hatano_nelson(60, 1.0, 0.8), rcond=1e-30)
+        report = eigenmode_bound_report(solve_landscape(hatano_nelson(60, 1.0, 0.8), rcond=1e-30))
         assert len(report) == 60
         ratios = np.array([r for _, r in report])
         assert np.all(np.isfinite(ratios)) and np.all(ratios > 0.0)
 
     def test_degenerate_raises(self):
         with pytest.raises(DegenerateInputError):
-            eigenmode_bound_report(Operator(np.diag([1.0, 0.0])))
+            eigenmode_bound_report(solve_landscape(Operator(np.diag([1.0, 0.0]))))
 
 
 class TestLandscapeInvariants:

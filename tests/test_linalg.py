@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from locland import (
     AccuracyError,
@@ -9,7 +11,8 @@ from locland import (
     HermiticityError,
     Operator,
     eig_general,
-    eig_hermitian,
+    factorize,
+    midgap_report,
     normal_operator,
     pseudo_solve,
     solve_landscape,
@@ -66,31 +69,68 @@ class TestNormalOperator:
 
 class TestEigHermitian:
     def test_diagonal_sorted(self):
-        res = eig_hermitian(Operator(np.diag([3.0, 1.0, 2.0])))
-        assert np.allclose(res.values, [1.0, 2.0, 3.0])
+        res = factorize(Operator(np.diag([3.0, 1.0, 2.0])))
+        assert np.allclose(res.energies, [1.0, 2.0, 3.0])
+        assert np.array_equal(res.sigma, np.abs(res.energies))
 
     def test_pauli_x(self):
-        res = eig_hermitian(Operator([[0, 1], [1, 0]]))
-        assert np.allclose(res.values, [-1.0, 1.0])
+        res = factorize(Operator([[0, 1], [1, 0]]))
+        assert np.allclose(res.energies, [-1.0, 1.0])
         minus = np.array([1.0, -1.0]) / math.sqrt(2.0)
         plus = np.array([1.0, 1.0]) / math.sqrt(2.0)
-        assert abs(abs(minus @ res.vectors[:, 0]) - 1.0) < 1e-12
-        assert abs(abs(plus @ res.vectors[:, 1]) - 1.0) < 1e-12
+        assert abs(abs(minus @ res.right[:, 0]) - 1.0) < 1e-12
+        assert abs(abs(plus @ res.right[:, 1]) - 1.0) < 1e-12
 
     def test_matches_bisection_oracle(self, rng):
         m = random_hermitian_pd(rng, 8, lo=-2.0, hi=2.0)
-        res = eig_hermitian(Operator(m))
-        assert np.abs(res.values - hermitian_eigs_bisection(m)).max() < 1e-8
+        res = factorize(Operator(m))
+        assert np.abs(res.energies - hermitian_eigs_bisection(m)).max() < 1e-8
 
     def test_orthonormal_vectors(self, rng):
         m = random_hermitian_pd(rng, 12)
-        res = eig_hermitian(Operator(m))
-        gram = res.vectors.conj().T @ res.vectors
+        res = factorize(Operator(m))
+        gram = res.right.conj().T @ res.right
         assert np.abs(gram - np.eye(12)).max() < 1e-10
 
     def test_rejects_non_hermitian(self):
+        # a non-Hermitian H takes the SVD route and has no energies to read
+        res = factorize(Operator([[0, 1], [0, 0]]))
+        assert res.energies is None
+        assert np.allclose(np.sort(res.sigma), [0.0, 1.0])
         with pytest.raises(HermiticityError):
-            eig_hermitian(Operator([[0, 1], [0, 0]]))
+            midgap_report(Operator([[0, 1], [0, 0]]))
+
+
+class TestFactorize:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_eigh_route_matches_svd_route(self, data):
+        d = data.draw(st.integers(2, 40), label="d")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        lam = rng.uniform(0.5, 3.0, size=d) * rng.choice([-1.0, 1.0], size=d)
+        # some draws plant a near-kernel direction, on either side of the cutoff
+        exponent = data.draw(st.one_of(st.none(), st.floats(-14.0, 0.0)), label="planted")
+        if exponent is not None:
+            lam[0] = 10.0**exponent
+        q = np.linalg.qr(random_complex(rng, d))[0]
+        m = (q * lam) @ q.conj().T
+        op = Operator(0.5 * (m + m.conj().T))
+        rcond = 1e-12
+
+        spectrum = factorize(op)
+        assert spectrum.energies is not None
+        s_ref, vh = np.linalg.svd(op.entries)[1:]
+        cutoff = rcond * s_ref[0] ** 2
+        assert np.abs(np.sort(spectrum.sigma)[::-1] - s_ref).max() <= 1e-12 * s_ref[0]
+
+        res = solve_landscape(op, rcond)
+        keep = s_ref**2 > cutoff
+        if not np.any((s_ref**2 > 0.1 * cutoff) & (s_ref**2 < 10.0 * cutoff)):
+            assert res.discarded_rank == d - np.count_nonzero(keep)
+        if s_ref[-1] ** 2 > 10.0 * cutoff:
+            right = vh.conj().T[:, keep]
+            v_ref = right @ ((right.conj().T @ np.ones(d)) / s_ref[keep] ** 2)
+            assert np.abs(res.v_complex - v_ref).max() <= 1e-9 * np.abs(v_ref).max()
 
 
 class TestEigGeneral:
@@ -210,7 +250,7 @@ class TestKernelInvariants:
         for n in (3, 6, 11):
             op = Operator(random_complex(rng, n))
             smin = solve_landscape(op).sigma_min
-            lam = eig_hermitian(normal_operator(op)).values
+            lam = factorize(normal_operator(op)).energies
             assert abs(smin - np.sqrt(max(lam[0], 0.0))) < 1e-10
 
     def test_pseudo_solve_full_rank_equals_direct(self, rng):
