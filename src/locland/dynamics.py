@@ -3,8 +3,11 @@
 Fixed-step 4th-order Runge-Kutta integration of
 i d/dt psi = [-J sigma_x + s(t) sigma_z / 2] psi with
 s(t) = sum_i A_i cos(w_i t).  The state norm is never renormalized; its
-drift is the accuracy diagnostic.  Batched variants propagate a whole
-amplitude grid in one pass, which is what keeps the bichromatic maps cheap.
+drift is the accuracy diagnostic.  Every observable runs on one stepper,
+_evolve, which advances a (B, 2) batch of states (each row with its own
+amplitudes) through one step plan: propagate stores every step, the
+min_t P_L grid keeps a running minimum and the monodromy sweep keeps the
+last state.
 """
 
 from __future__ import annotations
@@ -25,43 +28,71 @@ STEPS_PER_PERIOD = 2000
 
 @dataclass(frozen=True)
 class DriveSignal:
-    """Two-level model parameters: bias s(t) = sum_i amplitudes[i] cos(frequencies[i] t)."""
+    """Two-level model parameters: bias s(t) = sum_i amplitudes[i] cos(frequencies[i] t).
+
+    amplitudes holds one value per tone, or one such row per state of a
+    batched propagate().
+    """
 
     j_coupling: float
     amplitudes: tuple
     frequencies: tuple
 
     def __post_init__(self):
-        if len(self.amplitudes) != len(self.frequencies) or not self.frequencies:
-            raise ValueError("amplitudes and frequencies must have equal nonzero length")
-        if any(w <= 0.0 for w in self.frequencies):
-            raise ValueError("drive frequencies must be positive")
+        _drive_arrays(self.amplitudes, self.frequencies)
 
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Stored time evolution: unit states and the left-site population."""
+    """Stored time evolution: states and the left-site population.
+
+    states is (n_times, 2) and p_left (n_times,) for one state, and
+    (n_times, B, 2) and (n_times, B) for a batch of B.
+    """
 
     times: np.ndarray
-    states: np.ndarray  # (n_times, 2)
+    states: np.ndarray
     p_left: np.ndarray  # |<L|psi(t)>|^2
 
     @property
     def max_norm_drift(self) -> float:
-        return float(np.abs(np.linalg.norm(self.states, axis=1) - 1.0).max())
+        return float(np.abs(np.linalg.norm(self.states, axis=-1) - 1.0).max())
 
 
-def default_time_step(drive: DriveSignal) -> float:
-    """Shortest drive period divided by STEPS_PER_PERIOD."""
-    return 2.0 * math.pi / max(drive.frequencies) / STEPS_PER_PERIOD
+def _drive_arrays(amplitudes, frequencies):
+    """Amplitudes (K,) or (B, K) and frequencies (K,) as checked float arrays."""
+    amps = np.asarray(amplitudes, dtype=float)
+    freqs = np.asarray(frequencies, dtype=float)
+    if freqs.ndim != 1 or not freqs.size or amps.ndim not in (1, 2) or amps.shape[-1] != freqs.size:
+        raise ValueError("amplitudes and frequencies disagree on tone count")
+    if np.any(freqs <= 0.0):
+        raise ValueError("drive frequencies must be positive")
+    return amps, freqs
 
 
-def _check_time_step(dt: float, frequencies) -> None:
-    limit = 2.0 * math.pi / max(frequencies) / 200.0
+def _batch(amplitudes, frequencies, psi0, dt):
+    """Checked stepper inputs: (amps (B, K), freqs (K,), psi (B, 2), dt).
+
+    One amplitude row or one state is broadcast against a batch of the
+    other.  dt defaults to the shortest drive period over STEPS_PER_PERIOD
+    and may not exceed that period over 200.
+    """
+    amps, freqs = _drive_arrays(amplitudes, frequencies)
+    period = 2.0 * math.pi / freqs.max()
+    dt = period / STEPS_PER_PERIOD if dt is None else dt
     if dt <= 0.0:
         raise ValueError("dt must be positive")
+    limit = period / 200.0
     if dt > limit * (1.0 + 1e-12):
         raise ValueError(f"dt={dt} too coarse; need dt <= (shortest period)/200 = {limit:.3e}")
+    psi = np.asarray(psi0, dtype=complex)
+    if psi.ndim not in (1, 2) or psi.shape[-1] != 2:
+        raise ValueError("psi0 must be a 2-vector or a (B, 2) batch")
+    if np.abs(np.linalg.norm(psi, axis=-1) - 1.0).max() > 1e-8:
+        raise NormalizationError("psi0 must be normalized to 1e-8")
+    rows = np.broadcast_shapes(amps.shape[:-1], psi.shape[:-1]) or (1,)
+    amps = np.array(np.broadcast_to(amps, rows + amps.shape[-1:]))
+    return amps, freqs, np.array(np.broadcast_to(psi, rows + (2,))), dt
 
 
 def _step_plan(t_end: float, dt: float):
@@ -76,9 +107,9 @@ def _step_plan(t_end: float, dt: float):
 
 
 def _rhs(t, psi, j_coupling, amps, freqs):
-    # psi: (B, 2); amps: (B, K) or (K,); freqs: (K,)
+    # psi: (B, 2); amps: (B, K); freqs: (K,)
     s_t = amps @ np.cos(freqs * t)
-    hpsi = -j_coupling * psi[:, ::-1] + (0.5 * np.atleast_1d(s_t))[:, None] * (psi * _SZ)
+    hpsi = -j_coupling * psi[:, ::-1] + (0.5 * s_t)[:, None] * (psi * _SZ)
     return -1j * hpsi
 
 
@@ -90,39 +121,34 @@ def _rk4_step(t, psi, dt, j_coupling, amps, freqs):
     return psi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def _evolve(psi, t_end, dt, j_coupling, amps, freqs):
+    """Yield (t, psi) at t = 0, dt, 2 dt, ... and t_end for a (B, 2) batch of states."""
+    n_full, last = _step_plan(t_end, dt)
+    yield 0.0, psi
+    for k in range(n_full + (last > 0.0)):
+        psi = _rk4_step(k * dt, psi, dt if k < n_full else last, j_coupling, amps, freqs)
+        yield (k + 1) * dt if k < n_full else t_end, psi
+
+
 def propagate(drive: DriveSignal, psi0: np.ndarray, t_end: float, dt: float | None = None) -> Trajectory:
     """Integrate the driven two-level Schrodinger equation and store every step.
 
-    The state is never renormalized, so Trajectory.max_norm_drift directly
-    measures the integration error.  Halving dt changes the final state at
-    the 4th-order rate (see the step-halving contract in the tests).
+    psi0 is one 2-vector or a (B, 2) batch; with amplitude rows in drive, row
+    b of the batch evolves under row b of the amplitudes.  The state is
+    never renormalized, so Trajectory.max_norm_drift directly measures the
+    integration error.  Halving dt changes the final state at the 4th-order
+    rate (see the step-halving contract in the tests).
     """
-    freqs = np.asarray(drive.frequencies, dtype=float)
-    if dt is None:
-        dt = default_time_step(drive)
-    _check_time_step(dt, drive.frequencies)
-    psi0 = np.asarray(psi0, dtype=complex)
-    if psi0.shape != (2,):
-        raise ValueError("psi0 must be a 2-vector")
-    if abs(np.linalg.norm(psi0) - 1.0) > 1e-8:
-        raise NormalizationError("psi0 must be normalized to 1e-8")
-    amps = np.asarray(drive.amplitudes, dtype=float)
+    amps, freqs, psi, dt = _batch(drive.amplitudes, drive.frequencies, psi0, dt)
     n_full, last = _step_plan(t_end, dt)
-    n_times = n_full + 1 + (1 if last else 0)
-    times = np.empty(n_times)
-    states = np.empty((n_times, 2), dtype=complex)
-    psi = psi0[None, :].copy()
-    times[0] = 0.0
-    states[0] = psi[0]
-    for k in range(n_full):
-        psi = _rk4_step(k * dt, psi, dt, drive.j_coupling, amps, freqs)
-        times[k + 1] = (k + 1) * dt
-        states[k + 1] = psi[0]
-    if last:
-        psi = _rk4_step(n_full * dt, psi, last, drive.j_coupling, amps, freqs)
-        times[-1] = t_end
-        states[-1] = psi[0]
-    return Trajectory(times=times, states=states, p_left=np.abs(states[:, 0]) ** 2)
+    times = np.empty(n_full + 1 + (last > 0.0))
+    states = np.empty(times.shape + psi.shape, dtype=complex)
+    for k, (t, psi) in enumerate(_evolve(psi, t_end, dt, drive.j_coupling, amps, freqs)):
+        times[k] = t
+        states[k] = psi
+    if np.ndim(psi0) == 1 and np.ndim(drive.amplitudes) == 1:
+        states = states[:, 0]
+    return Trajectory(times=times, states=states, p_left=np.abs(states[..., 0]) ** 2)
 
 
 def min_left_population_grid(
@@ -133,53 +159,20 @@ def min_left_population_grid(
     n_periods: int,
     dt: float | None = None,
 ) -> np.ndarray:
-    """Batched min_t P_L over a list of (A, B) amplitude pairs.
+    """Batched min_t P_L over a list of amplitude rows (one per grid point).
 
-    Propagates every grid point simultaneously with the same step sequence
-    as propagate(), tracking the running minimum instead of the full
-    trajectories.  Element k equals the per-point result to roundoff.
+    Runs n_periods periods of the first tone on the same steps as
+    propagate(), keeping a running minimum instead of the trajectories.
+    Element k equals the per-point result to roundoff.
     """
-    amps = np.atleast_2d(np.asarray(amplitude_pairs, dtype=float))
-    freqs = np.asarray(frequencies, dtype=float)
-    if amps.shape[1] != freqs.size:
-        raise ValueError("amplitude pairs and frequencies disagree on tone count")
-    probe = DriveSignal(j_coupling, tuple(amps[0]), tuple(freqs))
-    if dt is None:
-        dt = default_time_step(probe)
-    _check_time_step(dt, freqs)
+    amps, freqs, psi, dt = _batch(np.atleast_2d(amplitude_pairs), frequencies, psi0, dt)
     if n_periods < 1:
         raise ValueError("n_periods must be >= 1")
-    psi0 = np.asarray(psi0, dtype=complex)
-    if abs(np.linalg.norm(psi0) - 1.0) > 1e-8:
-        raise NormalizationError("psi0 must be normalized to 1e-8")
-    t_end = n_periods * 2.0 * math.pi / freqs[0]
-    n_full, last = _step_plan(t_end, dt)
-    psi = np.tile(psi0, (amps.shape[0], 1))
-    p_min = np.abs(psi[:, 0]) ** 2
-    for k in range(n_full):
-        psi = _rk4_step(k * dt, psi, dt, j_coupling, amps, freqs)
-        np.minimum(p_min, np.abs(psi[:, 0]) ** 2, out=p_min)
-    if last:
-        psi = _rk4_step(n_full * dt, psi, last, j_coupling, amps, freqs)
+    steps = _evolve(psi, n_periods * 2.0 * math.pi / freqs[0], dt, j_coupling, amps, freqs)
+    p_min = np.abs(next(steps)[1][:, 0]) ** 2
+    for _, psi in steps:
         np.minimum(p_min, np.abs(psi[:, 0]) ** 2, out=p_min)
     return p_min
-
-
-def _propagate_monodromy(j_coupling, amps, freqs, dt):
-    """One-period propagators for a batch of monochromatic amplitudes."""
-    omega = float(freqs[0])
-    period = 2.0 * math.pi / omega
-    n_full, last = _step_plan(period, dt)
-    n_batch = amps.shape[0]
-    # rows are states; basis columns of U evolve as independent states
-    psi = np.tile(np.eye(2, dtype=complex), (n_batch, 1))
-    amps_rows = np.repeat(amps, 2, axis=0)
-    for k in range(n_full):
-        psi = _rk4_step(k * dt, psi, dt, j_coupling, amps_rows, freqs)
-    if last:
-        psi = _rk4_step(n_full * dt, psi, last, j_coupling, amps_rows, freqs)
-    # stacked rows are U^T blocks: undo the transpose
-    return psi.reshape(n_batch, 2, 2).transpose(0, 2, 1)
 
 
 def monodromy_quasienergies_sweep(
@@ -195,15 +188,17 @@ def monodromy_quasienergies_sweep(
     amps = np.asarray(amplitudes, dtype=float)
     if amps.ndim != 1:
         raise ValueError("the sweep takes one amplitude per point (one tone)")
-    freqs = np.array([float(omega)])
-    if dt is None:
-        dt = 2.0 * math.pi / omega / STEPS_PER_PERIOD
-    _check_time_step(dt, freqs)
-    u = _propagate_monodromy(j_coupling, amps[:, None], freqs, dt)
+    # the two basis columns of U evolve as independent rows of the batch
+    basis = np.tile(np.eye(2, dtype=complex), (amps.size, 1))
+    rows, freqs, psi, dt = _batch(np.repeat(amps, 2)[:, None], (omega,), basis, dt)
+    period = 2.0 * math.pi / omega
+    for _, psi in _evolve(psi, period, dt, j_coupling, rows, freqs):
+        pass
+    # stacked rows are U^T blocks: undo the transpose
+    u = psi.reshape(amps.size, 2, 2).transpose(0, 2, 1)
     defect = np.abs(u.conj().transpose(0, 2, 1) @ u - np.eye(2)).max()
     if defect > 1e-8:
         raise AccuracyError(f"monodromy propagator non-unitary at {defect:.2e}; reduce dt")
-    period = 2.0 * math.pi / omega
     eps = fold_quasienergy(-np.angle(np.linalg.eigvals(u)) / period, omega)
     return np.sort(eps, axis=1)
 

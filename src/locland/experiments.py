@@ -36,7 +36,7 @@ from .dynamics import (
     propagate,
     quasienergy_gap,
 )
-from .errors import ConfigError
+from .errors import AccuracyError, ConfigError
 from .landscape import eigenmode_bound_report, solve_landscape
 from .linalg import Operator, normal_operator, pseudo_solve, weighted_mean_site
 from .models import (
@@ -208,6 +208,7 @@ def _hn_point(r: float, n_sites: int, t_left: float, rcond: float) -> dict:
         "sigma_min": res.sigma_min,
         "soft_com": res.soft_com,
         "x_cm": weighted_mean_site(density),
+        "discarded_rank": res.discarded_rank,
         "density": density,
         "amplitude": res.amplitude,
     }
@@ -237,6 +238,7 @@ def run_hn(config: RunConfig) -> SweepReport:
             "sigma_min": np.array([pt["sigma_min"] for pt in points]),
             "soft_com": soft,
             "x_cm": xcm,
+            "discarded_rank": np.array([pt["discarded_rank"] for pt in points]),
         },
         metadata={
             "experiment": "hn",
@@ -255,7 +257,7 @@ def _cdt_mono_point(u: float, j_coupling: float, omega: float, truncation: int, 
     h0 = two_level_static(j_coupling)
     lifted = build_sambe(h0, two_level_drive_mono(u * omega), (omega,), (truncation,))
     res = solve_landscape(lifted.matrix, rcond)
-    return {"v_max_tot": res.v_max, "sigma_min": res.sigma_min}
+    return {"v_max_tot": res.v_max, "sigma_min": res.sigma_min, "discarded_rank": res.discarded_rank}
 
 
 def run_cdt_mono(config: RunConfig) -> SweepReport:
@@ -298,6 +300,7 @@ def run_cdt_mono(config: RunConfig) -> SweepReport:
             "log10_vmax": log_vmax,
             "sigma_min": np.array([pt["sigma_min"] for pt in points]),
             "quasienergy_gap": gap,
+            "discarded_rank": np.array([pt["discarded_rank"] for pt in points]),
         },
         metadata={
             "experiment": "cdt-mono",
@@ -320,11 +323,14 @@ def _cdt_duo_point(pair, j_coupling, omega1, omega2, m1, m2, rcond) -> dict:
     drive = two_level_drive_duo(a_u * omega1, b_u * omega1)
     lifted = build_sambe(h0, drive, (omega1, omega2), (m1, m2))
     res = solve_landscape(lifted.matrix, rcond)
-    return {"v_max_tot": res.v_max, "sigma_min": res.sigma_min}
+    return {"v_max_tot": res.v_max, "sigma_min": res.sigma_min, "discarded_rank": res.discarded_rank}
 
 
 #: partially left-localized initial state used in the trajectory panels
 PARTIAL_LEFT_STATE = np.array([math.sqrt(3.0) / 2.0, 0.5], dtype=complex)
+
+#: largest RK4 norm drift allowed on the marked trajectories (exit 3 above)
+NORM_DRIFT_LIMIT = 1e-7
 
 
 def run_cdt_duo(config: RunConfig) -> SweepReport:
@@ -375,21 +381,31 @@ def run_cdt_duo(config: RunConfig) -> SweepReport:
     full_row_diff = float(np.abs(b0_row - mono).max() / np.abs(mono).max())
 
     # marked points: the most frozen grid point sits on a landscape ridge,
-    # the flattest-landscape point is the delocalized control
-    idx_loc = int(np.argmax(min_pl))
-    idx_del = int(np.argmin(vmax))
+    # the flattest-landscape point is the delocalized control; both start
+    # states at both points run as one four-row batch
+    marked_idx = {"localized": int(np.argmax(min_pl)), "delocalized": int(np.argmin(vmax))}
+    starts = {"left": psi_left, "partial": PARTIAL_LEFT_STATE}
+    runs = [(tag, state) for tag in marked_idx for state in starts]
+    drive = DriveSignal(
+        p["j_coupling"],
+        tuple(tuple(amp_pairs[marked_idx[tag]]) for tag, _ in runs),
+        (omega1, omega2),
+    )
+    psi0 = np.array([starts[state] for _, state in runs])
+    traj = propagate(drive, psi0, p["n_periods"] * 2.0 * math.pi / omega1, dt)
+    drift = traj.max_norm_drift
+    if drift > NORM_DRIFT_LIMIT:
+        raise AccuracyError(f"marked trajectories drift from unit norm by {drift:.2e}; reduce dt")
+    stride = max(1, p["traj_stride"])
+    for k, (tag, state) in enumerate(runs):
+        _write_profile_csv(
+            config.out_dir / f"trajectory_{tag}_{state}.csv",
+            ["time", "p_left"],
+            [traj.times[::stride], traj.p_left[::stride, k]],
+        )
     marked = {}
-    for tag, idx in (("localized", idx_loc), ("delocalized", idx_del)):
+    for tag, idx in marked_idx.items():
         a_u, b_u = grid_pairs[idx]
-        drive = DriveSignal(p["j_coupling"], (a_u * omega1, b_u * omega1), (omega1, omega2))
-        for state_tag, psi0 in (("left", psi_left), ("partial", PARTIAL_LEFT_STATE)):
-            traj = propagate(drive, psi0, p["n_periods"] * 2.0 * math.pi / omega1, dt)
-            stride = max(1, p["traj_stride"])
-            _write_profile_csv(
-                config.out_dir / f"trajectory_{tag}_{state_tag}.csv",
-                ["time", "p_left"],
-                [traj.times[::stride], traj.p_left[::stride]],
-            )
         marked[tag] = {
             "a_over_omega1": a_u,
             "b_over_omega1": b_u,
@@ -405,6 +421,7 @@ def run_cdt_duo(config: RunConfig) -> SweepReport:
             "log10_vmax": log_vmax,
             "sigma_min": np.array([pt["sigma_min"] for pt in points]),
             "min_PL": min_pl,
+            "discarded_rank": np.array([pt["discarded_rank"] for pt in points]),
         },
         metadata={
             "experiment": "cdt-duo",
@@ -419,6 +436,7 @@ def run_cdt_duo(config: RunConfig) -> SweepReport:
             "b0_reduction_max_rel_diff_m2_0": reduction_diff,
             "b0_row_max_rel_diff_full_truncation": full_row_diff,
             "marked_points": marked,
+            "max_norm_drift": drift,
         },
     )
 
@@ -441,6 +459,7 @@ def _aah_point(omega, n_sites, hopping, lambda0, amplitude, alpha, theta, trunca
         "soft_com": res.soft_com,
         "ipr_mean": float(ipr.mean()),
         "ipr_max": float(ipr.max()),
+        "discarded_rank": res.discarded_rank,
         "dos_centers": centers,
         "dos_density": density,
     }
@@ -480,6 +499,7 @@ def run_aah(config: RunConfig) -> SweepReport:
             "soft_com": np.array([pt["soft_com"] for pt in points]),
             "ipr_mean": np.array([pt["ipr_mean"] for pt in points]),
             "ipr_max": np.array([pt["ipr_max"] for pt in points]),
+            "discarded_rank": np.array([pt["discarded_rank"] for pt in points]),
         },
         metadata={
             "experiment": "aah",

@@ -52,14 +52,10 @@ class Operator:
 
 @dataclass(frozen=True, eq=False)
 class EigResult:
-    """Eigendecomposition; column k of ``vectors`` pairs with ``values[k]``.
-
-    ``label`` carries quality flags such as "defective".
-    """
+    """Eigendecomposition; column k of ``vectors`` pairs with ``values[k]``."""
 
     values: np.ndarray
     vectors: np.ndarray
-    label: str = ""
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,9 +112,9 @@ def eig_general(op: Operator) -> EigResult:
     """Right eigenpairs of a general square matrix.
 
     Pairs are sorted by (Re, Im) of the eigenvalue and each eigenvector is
-    2-norm normalized.  Near-defective inputs are not rejected; they are
-    flagged with "defective" in the result label (the residual contract
-    ||H psi - E psi|| <= 1e-8 ||H||_F still holds on a best-effort basis).
+    2-norm normalized.  Near-defective inputs are not rejected (the residual
+    contract ||H psi - E psi|| <= 1e-8 ||H||_F still holds on a best-effort
+    basis).
     """
     values, vectors = np.linalg.eig(op.entries)
     order = np.lexsort((values.imag, values.real))
@@ -126,12 +122,7 @@ def eig_general(op: Operator) -> EigResult:
     vectors = vectors[:, order]
     norms = np.linalg.norm(vectors, axis=0)
     norms[norms == 0.0] = 1.0
-    vectors = vectors / norms
-    label = op.label
-    # a numerically singular eigenvector matrix signals a (near-)defective input
-    if op.dim > 0 and np.linalg.svd(vectors, compute_uv=False)[-1] < 1e-8:
-        label = (label + " " if label else "") + "defective"
-    return EigResult(values=values, vectors=vectors, label=label)
+    return EigResult(values=values, vectors=vectors / norms)
 
 
 def pseudo_solve(op: Operator, b: np.ndarray, rcond: float = DEFAULT_RCOND) -> PseudoSolveResult:

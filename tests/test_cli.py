@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from locland import experiments
+from locland import dynamics, experiments
 from locland.cli import load_config_file, main, resolve_config
 from locland.errors import ConfigError
 from locland.experiments import (
@@ -15,6 +15,7 @@ from locland.experiments import (
     _aah_point,
     _pool_size,
     run_bbh,
+    run_cdt_duo,
     run_ssh,
 )
 
@@ -126,6 +127,15 @@ class TestCliExitCodes:
         assert code == 3
         assert "FAIL" in capsys.readouterr().err
 
+    def test_cdt_duo_norm_drift_exits_3(self, tmp_path, capsys):
+        # the coarsest allowed step at A / omega1 = 10 drifts about 3e-5
+        # from unit norm on the marked trajectories
+        args = ["a_count=2", "b_count=2", "amp_max=10", "n_periods=2", "truncation1=1",
+                "truncation2=1", "steps_per_period=200"]
+        code = run_cli(["cdt-duo", "--out", str(tmp_path)] + [x for a in args for x in ("--set", a)])
+        assert code == 3
+        assert "unit norm" in capsys.readouterr().err
+
     def test_io_error_exits_4(self, tmp_path):
         blocker = tmp_path / "blocker"
         blocker.write_text("a file, not a directory")
@@ -143,7 +153,7 @@ class TestEndToEnd:
         for name in ("report.csv", "report.json", "manifest.json", "profile_r0.70.csv", "profile_r1.30.csv"):
             assert (out / name).exists()
         rows = list(csv.reader(open(out / "report.csv")))
-        assert rows[0] == ["r", "v_max_tot", "log10_vmax", "sigma_min", "soft_com", "x_cm"]
+        assert rows[0] == ["r", "v_max_tot", "log10_vmax", "sigma_min", "soft_com", "x_cm", "discarded_rank"]
         assert len(rows) == 6
         meta = json.loads((out / "report.json").read_text())["metadata"]
         assert meta["spearman_soft_com_x_cm"] == 1.0
@@ -181,7 +191,9 @@ class TestEndToEnd:
         assert abs(meta["peak_positions"][0] - 2.405) < 0.1
         assert (out / "peaks.csv").exists()
         rows = list(csv.reader(open(out / "report.csv")))
-        assert rows[0] == ["a_over_omega", "v_max_tot", "log10_vmax", "sigma_min", "quasienergy_gap"]
+        assert rows[0] == [
+            "a_over_omega", "v_max_tot", "log10_vmax", "sigma_min", "quasienergy_gap", "discarded_rank"
+        ]
 
     def test_cdt_duo_small(self, tmp_path):
         out = tmp_path / "duo"
@@ -214,6 +226,18 @@ class TestEndToEnd:
         rows = list(csv.reader(open(out / "report.csv")))
         assert rows[0][:2] == ["a_over_omega1", "b_over_omega1"]
         assert len(rows) == 17
+        assert 0.0 < meta["max_norm_drift"] <= 1e-7
+
+    def test_hn_discarded_rank_column(self, tmp_path):
+        # at N = 200, r = 1.3 the skin direction has sigma_min^2 / sigma_max^2
+        # = 8.7e-25, under the cutoff; the reciprocal chain r = 1 keeps all
+        out = tmp_path / "hn"
+        args = ["n_sites=200", "r_min=1.0", "r_max=1.3", "r_count=2", "rcond=1e-24"]
+        assert run_cli(["hn", "--out", str(out)] + [x for a in args for x in ("--set", a)]) == 0
+        rows = list(csv.DictReader(open(out / "report.csv")))
+        assert [row["r"] for row in rows] == ["1", "1.3"]
+        assert rows[0]["discarded_rank"] == "0"
+        assert int(rows[1]["discarded_rank"]) > 0
 
     def test_aah_small(self, tmp_path):
         out = tmp_path / "aah"
@@ -352,3 +376,24 @@ class TestOneFactorization:
             alpha=GOLDEN_RATIO_CONJUGATE, theta=0.0, truncation=1, bin_width=0.01, rcond=1e-12,
         )
         assert calls == {"eigh": 1}
+
+
+class TestOneRk4Pass:
+    """The min_PL grid and the four marked cdt-duo trajectories take one RK4 pass each."""
+
+    def test_cdt_duo_two_passes(self, monkeypatch, tmp_path):
+        rows = []
+        step = dynamics._rk4_step
+
+        def counted(t, psi, *args):
+            rows.append(psi.shape[0])
+            return step(t, psi, *args)
+
+        monkeypatch.setattr(dynamics, "_rk4_step", counted)
+        config = TestOneFactorization.default_config("cdt-duo", tmp_path)
+        config.params.update(a_count=3, b_count=2, truncation1=1, truncation2=1, n_periods=1)
+        run_cdt_duo(config)
+        p = config.params
+        dt = 2.0 * math.pi / (p["omega2_ratio"] * p["omega1"]) / p["steps_per_period"]
+        n_steps = math.ceil(p["n_periods"] * 2.0 * math.pi / p["omega1"] / dt)
+        assert rows == [6] * n_steps + [4] * n_steps

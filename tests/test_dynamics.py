@@ -41,6 +41,8 @@ class TestDriveSignal:
             DriveSignal(1.0, (1.0,), (0.0,))
         with pytest.raises(ValueError):
             DriveSignal(1.0, (1.0, 2.0), (1.0,))
+        with pytest.raises(ValueError):
+            DriveSignal(1.0, ((1.0, 2.0), (3.0, 4.0)), (1.0,))
 
 
 class TestPropagate:
@@ -93,6 +95,32 @@ class TestPropagate:
         err_full = np.linalg.norm(propagate(drive, LEFT, t_end, base).states[-1] - reference)
         err_half = np.linalg.norm(propagate(drive, LEFT, t_end, base / 2.0).states[-1] - reference)
         assert 12.0 <= err_full / err_half <= 20.0
+
+    def test_batch_matches_one_row_calls(self):
+        freqs = (10.0, 10.0 * math.sqrt(2.0))
+        amps = [(24.0, 8.0), (0.0, 50.0), (13.0, 77.0)]
+        starts = [LEFT, PARTIAL, PARTIAL]
+        t_end = 3 * 2.0 * math.pi / freqs[0]
+        batch = propagate(DriveSignal(1.0, tuple(amps), freqs), np.array(starts), t_end)
+        assert batch.states.shape == (batch.times.size, 3, 2)
+        assert batch.p_left.shape == (batch.times.size, 3)
+        for k in range(3):
+            single = propagate(DriveSignal(1.0, amps[k], freqs), starts[k], t_end)
+            assert single.states.shape == (single.times.size, 2)
+            assert np.array_equal(single.times, batch.times)
+            assert np.abs(batch.states[:, k] - single.states).max() <= 1e-13
+            assert np.abs(batch.p_left[:, k] - single.p_left).max() <= 1e-13
+
+    def test_one_amplitude_row_broadcasts_over_states(self):
+        drive = DriveSignal(1.0, (24.0,), (10.0,))
+        batch = propagate(drive, np.array([LEFT, PARTIAL]), 1.0)
+        for k, psi0 in enumerate((LEFT, PARTIAL)):
+            assert np.abs(batch.states[:, k] - propagate(drive, psi0, 1.0).states).max() <= 1e-13
+
+    def test_batch_row_count_mismatch(self):
+        drive = DriveSignal(1.0, ((1.0,), (2.0,), (3.0,)), (10.0,))
+        with pytest.raises(ValueError):
+            propagate(drive, np.array([LEFT, PARTIAL]), 1.0)
 
 
 class TestMinLeftPopulation:
