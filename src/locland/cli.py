@@ -3,9 +3,9 @@
 Configuration comes from a flat `key = value` text file (or the JSON
 manifest of a previous run), with repeatable --set key=value overrides that
 win over the file.  Every run writes report.csv, report.json and a
-manifest.json carrying the fully resolved configuration, library versions
-and wall time; re-running from the manifest reproduces the CSV outputs
-byte for byte.
+manifest.json carrying the fully resolved configuration, library versions,
+host setup (cores, BLAS thread variables), wall time and peak RSS;
+re-running from the manifest reproduces the CSV outputs byte for byte.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical-contract
 violation, 4 I/O error.
@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import resource
 import sys
 import time
 from pathlib import Path
@@ -148,7 +150,18 @@ def _write_manifest(config: RunConfig, wall_time: float, outputs: list) -> None:
             "numpy": np.__version__,
             "python": sys.version.split()[0],
         },
+        "host": {
+            "cpu_count": os.cpu_count(),
+            "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+            "OMP_NUM_THREADS": os.environ.get("OMP_NUM_THREADS"),
+        },
         "wall_time_s": wall_time,
+        # ru_maxrss is in KiB on Linux; the children term covers worker pools
+        "peak_rss_mib": max(
+            resource.getrusage(who).ru_maxrss
+            for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)
+        )
+        / 1024.0,
         "outputs": sorted(outputs),
     }
     with open(config.out_dir / "manifest.json", "w", newline="\n") as fh:

@@ -253,11 +253,20 @@ def run_hn(config: RunConfig) -> SweepReport:
 # ---------------------------------------------------------------------------
 
 
+def _sambe_columns(lifted, res) -> dict:
+    """Report columns shared by every Sambe-lifted grid point."""
+    return {
+        "v_max_tot": res.v_max,
+        "sigma_min": res.sigma_min,
+        "discarded_rank": res.discarded_rank,
+        "edge_sector_weight": lifted.index_map.edge_sector_weight(res.amplitude),
+    }
+
+
 def _cdt_mono_point(u: float, j_coupling: float, omega: float, truncation: int, rcond: float) -> dict:
     h0 = two_level_static(j_coupling)
     lifted = build_sambe(h0, two_level_drive_mono(u * omega), (omega,), (truncation,))
-    res = solve_landscape(lifted.matrix, rcond)
-    return {"v_max_tot": res.v_max, "sigma_min": res.sigma_min, "discarded_rank": res.discarded_rank}
+    return _sambe_columns(lifted, solve_landscape(lifted.matrix, rcond))
 
 
 def run_cdt_mono(config: RunConfig) -> SweepReport:
@@ -301,6 +310,7 @@ def run_cdt_mono(config: RunConfig) -> SweepReport:
             "sigma_min": np.array([pt["sigma_min"] for pt in points]),
             "quasienergy_gap": gap,
             "discarded_rank": np.array([pt["discarded_rank"] for pt in points]),
+            "edge_sector_weight": np.array([pt["edge_sector_weight"] for pt in points]),
         },
         metadata={
             "experiment": "cdt-mono",
@@ -322,8 +332,7 @@ def _cdt_duo_point(pair, j_coupling, omega1, omega2, m1, m2, rcond) -> dict:
     h0 = two_level_static(j_coupling)
     drive = two_level_drive_duo(a_u * omega1, b_u * omega1)
     lifted = build_sambe(h0, drive, (omega1, omega2), (m1, m2))
-    res = solve_landscape(lifted.matrix, rcond)
-    return {"v_max_tot": res.v_max, "sigma_min": res.sigma_min, "discarded_rank": res.discarded_rank}
+    return _sambe_columns(lifted, solve_landscape(lifted.matrix, rcond))
 
 
 #: partially left-localized initial state used in the trajectory panels
@@ -392,16 +401,17 @@ def run_cdt_duo(config: RunConfig) -> SweepReport:
         (omega1, omega2),
     )
     psi0 = np.array([starts[state] for _, state in runs])
-    traj = propagate(drive, psi0, p["n_periods"] * 2.0 * math.pi / omega1, dt)
+    # only the written rows are stored; the drift gate still sees every step
+    t_end = p["n_periods"] * 2.0 * math.pi / omega1
+    traj = propagate(drive, psi0, t_end, dt, stride=max(1, p["traj_stride"]))
     drift = traj.max_norm_drift
     if drift > NORM_DRIFT_LIMIT:
         raise AccuracyError(f"marked trajectories drift from unit norm by {drift:.2e}; reduce dt")
-    stride = max(1, p["traj_stride"])
     for k, (tag, state) in enumerate(runs):
         _write_profile_csv(
             config.out_dir / f"trajectory_{tag}_{state}.csv",
             ["time", "p_left"],
-            [traj.times[::stride], traj.p_left[::stride, k]],
+            [traj.times, traj.p_left[:, k]],
         )
     marked = {}
     for tag, idx in marked_idx.items():
@@ -422,6 +432,7 @@ def run_cdt_duo(config: RunConfig) -> SweepReport:
             "sigma_min": np.array([pt["sigma_min"] for pt in points]),
             "min_PL": min_pl,
             "discarded_rank": np.array([pt["discarded_rank"] for pt in points]),
+            "edge_sector_weight": np.array([pt["edge_sector_weight"] for pt in points]),
         },
         metadata={
             "experiment": "cdt-duo",
@@ -446,6 +457,10 @@ def run_cdt_duo(config: RunConfig) -> SweepReport:
 # ---------------------------------------------------------------------------
 
 
+#: largest deviation of a Floquet DOS column from integrating to 1 (exit 3 above)
+DOS_NORM_LIMIT = 1e-12
+
+
 def _aah_point(omega, n_sites, hopping, lambda0, amplitude, alpha, theta, truncation, bin_width, rcond):
     h0 = aah_static(n_sites, hopping, lambda0, alpha, theta)
     drive = aah_drive(n_sites, amplitude, alpha, theta)
@@ -454,12 +469,10 @@ def _aah_point(omega, n_sites, hopping, lambda0, amplitude, alpha, theta, trunca
     ipr = (np.abs(res.spectrum.right) ** 4).sum(axis=0)
     centers, density = floquet_dos(res.spectrum.energies, omega, bin_width)
     return {
-        "v_max_tot": res.v_max,
-        "sigma_min": res.sigma_min,
+        **_sambe_columns(lifted, res),
         "soft_com": res.soft_com,
         "ipr_mean": float(ipr.mean()),
         "ipr_max": float(ipr.max()),
-        "discarded_rank": res.discarded_rank,
         "dos_centers": centers,
         "dos_density": density,
     }
@@ -487,6 +500,11 @@ def run_aah(config: RunConfig) -> SweepReport:
         ["x"] + [f"omega={w:.6g}" for w in omegas],
         [centers] + [pt["dos_density"] for pt in points],
     )
+    # uniform bins tile [-1/2, 1/2), so each bin is 1 / n_bins wide
+    dos = np.array([pt["dos_density"] for pt in points])
+    dos_error = float(np.abs(dos.sum(axis=1) / centers.size - 1.0).max())
+    if dos_error > DOS_NORM_LIMIT:
+        raise AccuracyError(f"a Floquet DOS column integrates to 1 only within {dos_error:.2e}")
     vmax = np.array([pt["v_max_tot"] for pt in points])
     low = vmax[omegas <= 4.0]
     high = vmax[omegas >= 8.0]
@@ -500,9 +518,11 @@ def run_aah(config: RunConfig) -> SweepReport:
             "ipr_mean": np.array([pt["ipr_mean"] for pt in points]),
             "ipr_max": np.array([pt["ipr_max"] for pt in points]),
             "discarded_rank": np.array([pt["discarded_rank"] for pt in points]),
+            "edge_sector_weight": np.array([pt["edge_sector_weight"] for pt in points]),
         },
         metadata={
             "experiment": "aah",
+            "max_dos_norm_error": dos_error,
             "variance_vmax_low_omega": float(low.var()) if low.size else float("nan"),
             "variance_vmax_high_omega": float(high.var()) if high.size else float("nan"),
             "variance_ratio": (
@@ -670,7 +690,7 @@ def _bounds_model(config: RunConfig) -> Operator:
         # holds (a generic dense PD matrix violates it)
         rng = np.random.default_rng(config.seed)
         d = p["dimension"]
-        m = np.diag(rng.uniform(1.5, 3.5, size=d)).astype(complex)
+        m = np.diag(rng.uniform(1.5, 3.5, size=d))
         hop = -0.5 * np.ones(d - 1)
         m[np.arange(d - 1), np.arange(1, d)] = hop
         m[np.arange(1, d), np.arange(d - 1)] = hop

@@ -24,8 +24,9 @@ _BOUND_RTOL = 1e-8
 class LandscapeResult:
     """Solution of one landscape solve, with the factorization it came from.
 
-    amplitude is |v| over the full space; near_null is |P 1| with P the
-    projector on the directions the cutoff discarded (zeros if none);
+    v_complex is v in the dtype of the factorization, so it is real for a
+    real H; amplitude is |v| over the full space; near_null is |P 1| with P
+    the projector on the directions the cutoff discarded (zeros if none);
     peak_profile is near_null when it is nonzero and amplitude otherwise;
     soft_com is the peak_profile-weighted mean site (harmonics marginalized
     out first for extended-space solves).
@@ -97,7 +98,7 @@ def solve_landscape(
     sigma = spectrum.sigma
     keep = sigma**2 > rcond * sigma.max() ** 2
     kept = int(np.count_nonzero(keep))
-    ones = np.ones(op.dim, dtype=complex)
+    ones = np.ones(op.dim)
     dropped = spectrum.right[:, ~keep]
     near_null = np.abs(dropped @ (dropped.conj().T @ ones))
     right = spectrum.right[:, keep]

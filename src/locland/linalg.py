@@ -1,12 +1,15 @@
-"""Dense complex linear algebra kernel.
+"""Dense linear algebra kernel, real where the operator is real.
 
-Everything downstream works with small dense matrices (d <~ 10^4), so the
-kernel stays deliberately simple: the one factorization of H that every
-landscape observable is read from, right eigenpairs of a general matrix,
-the normal operator H^dag H, a pseudoinverse solve with an explicit
-spectral cutoff (the independent oracle route), and the weighted mean site
-shared by the center of mass indicators.
-All functions are pure; results never share mutable state with the inputs.
+An Operator stores float64 entries when every entry is exactly real and
+complex128 otherwise, and the factorizations run in that dtype, so every
+real model goes through real LAPACK.  Everything downstream works with
+small dense matrices (d <~ 10^4), so the kernel stays deliberately simple:
+the one factorization of H that every landscape observable is read from,
+right eigenpairs of a general matrix, the normal operator H^dag H, a
+pseudoinverse solve with an explicit spectral cutoff (the independent
+oracle route), and the weighted mean site shared by the center of mass
+indicators.  All functions are pure; results never share mutable state
+with the inputs.
 """
 
 from __future__ import annotations
@@ -27,9 +30,11 @@ HERMITICITY_RTOL = 1e-10
 
 @dataclass(frozen=True, eq=False)
 class Operator:
-    """Square complex matrix with a provenance label.
+    """Square matrix with a provenance label.
 
-    Entries are coerced to a read-only complex array; non-square or
+    Entries are copied to a read-only array that is float64 when every
+    entry is exactly real (ints, bools and complex input with an all-zero
+    imaginary part included) and complex128 otherwise; non-square or
     non-finite input is rejected at construction time.
     """
 
@@ -37,7 +42,10 @@ class Operator:
     label: str = ""
 
     def __post_init__(self):
-        m = np.array(self.entries, dtype=complex)
+        m = np.asarray(self.entries)
+        if np.iscomplexobj(m) and not m.imag.any():
+            m = m.real
+        m = np.array(m, dtype=complex if np.iscomplexobj(m) else float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimensionError(f"operator must be a square matrix, got shape {m.shape}")
         if not np.all(np.isfinite(m)):
@@ -99,7 +107,8 @@ def factorize(op: Operator) -> Spectrum:
 
     Exactly Hermitian H goes through eigh, since its right singular vectors
     are its eigenvectors: sigma = |lambda|, in eigh order (ascending
-    lambda).  Any other H goes through the SVD, with energies None.
+    lambda).  Any other H goes through the SVD, with energies None.  The
+    factorization runs in the dtype of H, so a real H has real vectors.
     """
     if hermiticity_defect(op.entries) == 0.0:
         energies, right = np.linalg.eigh(op.entries)
@@ -111,12 +120,14 @@ def factorize(op: Operator) -> Spectrum:
 def eig_general(op: Operator) -> EigResult:
     """Right eigenpairs of a general square matrix.
 
-    Pairs are sorted by (Re, Im) of the eigenvalue and each eigenvector is
-    2-norm normalized.  Near-defective inputs are not rejected (the residual
+    Values and vectors are complex128 for real input too.  Pairs are sorted
+    by (Re, Im) of the eigenvalue and each eigenvector is 2-norm
+    normalized.  Near-defective inputs are not rejected (the residual
     contract ||H psi - E psi|| <= 1e-8 ||H||_F still holds on a best-effort
     basis).
     """
     values, vectors = np.linalg.eig(op.entries)
+    values, vectors = values.astype(complex, copy=False), vectors.astype(complex, copy=False)
     order = np.lexsort((values.imag, values.real))
     values = values[order]
     vectors = vectors[:, order]

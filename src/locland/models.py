@@ -17,7 +17,7 @@ from .linalg import Operator
 
 SSH_VARIANTS = ("topological", "trivial", "domain_wall")
 
-_SIGMA_Z = np.diag([1.0 + 0.0j, -1.0 + 0.0j])
+_SIGMA_Z = np.diag([1.0, -1.0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,7 +81,7 @@ def hatano_nelson(n_sites: int, t_left: float, t_right: float) -> Operator:
     """
     if n_sites < 2:
         raise DimensionError("hatano_nelson needs n_sites >= 2")
-    m = np.zeros((n_sites, n_sites), dtype=complex)
+    m = np.zeros((n_sites, n_sites))
     idx = np.arange(n_sites - 1)
     m[idx, idx + 1] = t_left
     m[idx + 1, idx] = t_right
@@ -96,7 +96,7 @@ def aah_static(n_sites: int, hopping: float, lambda0: float, alpha: float, theta
     """
     if n_sites < 2:
         raise DimensionError("aah_static needs n_sites >= 2")
-    m = np.zeros((n_sites, n_sites), dtype=complex)
+    m = np.zeros((n_sites, n_sites))
     idx = np.arange(n_sites - 1)
     m[idx, idx + 1] = -hopping
     m[idx + 1, idx] = -hopping
@@ -115,7 +115,7 @@ def aah_drive(n_sites: int, amplitude: float, alpha: float, theta: float = 0.0) 
     if n_sites < 1:
         raise DimensionError("aah_drive needs n_sites >= 1")
     sites = np.arange(1, n_sites + 1)
-    diag = np.diag(0.5 * amplitude * np.cos(2.0 * np.pi * alpha * sites + theta)).astype(complex)
+    diag = np.diag(0.5 * amplitude * np.cos(2.0 * np.pi * alpha * sites + theta))
     block = Operator(diag, label="aah_drive_block")
     return FourierDrive(blocks={1: block, -1: block}, base_dim=n_sites)
 
@@ -124,7 +124,7 @@ def two_level_static(j_coupling: float) -> Operator:
     """Tunneling term -J sigma_x in the (|L>, |R>) basis."""
     if j_coupling <= 0.0:
         raise ValueError("two_level_static needs J > 0")
-    m = np.array([[0.0, -j_coupling], [-j_coupling, 0.0]], dtype=complex)
+    m = np.array([[0.0, -j_coupling], [-j_coupling, 0.0]])
     return Operator(m, label=f"two_level(J={j_coupling})")
 
 
@@ -184,7 +184,7 @@ def ssh(config: SshConfig) -> Operator:
         b = np.arange(1, n_sites)  # 1-based bond index, bond b joins sites b, b+1
         bonds[(b % 2 == 1) & (b <= wall - 2)] = strong
         bonds[(b % 2 == 0) & (b >= wall + 1)] = strong
-    m = np.zeros((n_sites, n_sites), dtype=complex)
+    m = np.zeros((n_sites, n_sites))
     idx = np.arange(n_sites - 1)
     m[idx, idx + 1] = -bonds
     m[idx + 1, idx] = -bonds
@@ -203,7 +203,7 @@ def bbh(n_x: int, n_y: int, gamma: float, lam: float) -> Operator:
         raise DimensionError("bbh needs n_x, n_y >= 2")
     lx, ly = 2 * n_x, 2 * n_y
     n_sites = lx * ly
-    m = np.zeros((n_sites, n_sites), dtype=complex)
+    m = np.zeros((n_sites, n_sites))
 
     def flat(i, j):  # (column i, row j), both 1-based
         return (j - 1) * lx + (i - 1)

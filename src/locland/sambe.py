@@ -64,12 +64,29 @@ class SambeIndexMap:
         shifted = np.asarray(harmonics) + np.array(self.truncations, dtype=int)
         return np.ravel_multi_index(tuple(np.moveaxis(shifted, -1, 0)[::-1]), self._shape)
 
-    def site_sum(self, values: np.ndarray) -> np.ndarray:
-        """Sum a flat extended-space vector over harmonics: w(site) = sum_m values(site, m)."""
+    def _by_sector(self, values) -> np.ndarray:
+        """A flat extended-space vector as a (sector_count, base_dim) array."""
         v = np.asarray(values)
         if v.shape != (self.flat_dim,):
             raise DimensionError(f"vector has shape {v.shape}, expected ({self.flat_dim},)")
-        return v.reshape(self.sector_count, self.base_dim).sum(axis=0)
+        return v.reshape(self.sector_count, self.base_dim)
+
+    def site_sum(self, values: np.ndarray) -> np.ndarray:
+        """Sum a flat extended-space vector over harmonics: w(site) = sum_m values(site, m)."""
+        return self._by_sector(values).sum(axis=0)
+
+    def edge_sector_weight(self, values: np.ndarray) -> float:
+        """Fraction of sum |values| in the sectors on the truncation edge.
+
+        A sector is on the edge when some tone with M_i > 0 sits at
+        |m_i| = M_i.  A large fraction means the harmonic truncation cuts
+        off weight the vector still carries; NaN for an all-zero vector.
+        """
+        per_sector = np.abs(self._by_sector(values)).sum(axis=1)
+        m = np.array(self.truncations, dtype=int)
+        edge = np.any((np.abs(self.harmonics) == m) & (m > 0), axis=1)
+        total = per_sector.sum()
+        return float(per_sector[edge].sum() / total) if total else float("nan")
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,6 +103,7 @@ def build_sambe(h0: Operator, drive: FourierDrive, omegas, truncations) -> Sambe
 
     Diagonal sectors hold h0 + (m . omega) I; sector (m, m - delta) holds the
     drive block keyed by delta (an int for one tone, an N-tuple otherwise).
+    The lift is real when h0 and every drive block are real.
     Drive harmonics that couple no pair of retained sectors are dropped and
     noted in the matrix label.  A key with the wrong number of tones raises
     DimensionError.
@@ -101,10 +119,11 @@ def build_sambe(h0: Operator, drive: FourierDrive, omegas, truncations) -> Sambe
     index_map = SambeIndexMap(base_dim=h0.dim, truncations=truncations)
     harmonics = index_map.harmonics
     n, s = h0.dim, index_map.sector_count
-    mat = np.zeros((s, n, s, n), dtype=complex)
+    dtype = np.result_type(h0.entries, *(block.entries for block in drive.blocks.values()))
+    mat = np.zeros((s, n, s, n), dtype=dtype)
     diag = np.arange(s)
     shifts = sum(harmonics[:, i] * HBAR * w for i, w in enumerate(omegas))
-    mat[diag, :, diag, :] = h0.entries + shifts[:, None, None] * np.eye(n, dtype=complex)
+    mat[diag, :, diag, :] = h0.entries + shifts[:, None, None] * np.eye(n, dtype=dtype)
     dropped = []
     for key, block in drive.blocks.items():
         delta = np.atleast_1d(key)

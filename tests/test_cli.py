@@ -1,12 +1,15 @@
 import csv
 import json
 import math
+import os
 
 import numpy as np
 import pytest
 
 from locland import dynamics, experiments
 from locland.cli import load_config_file, main, resolve_config
+from locland.diagnostics import floquet_dos
+from locland.dynamics import propagate
 from locland.errors import ConfigError
 from locland.experiments import (
     GOLDEN_RATIO_CONJUGATE,
@@ -136,6 +139,17 @@ class TestCliExitCodes:
         assert code == 3
         assert "unit norm" in capsys.readouterr().err
 
+    def test_aah_dos_contract_exits_3(self, tmp_path, monkeypatch, capsys):
+        def off_by_1e9(*args, **kwargs):
+            centers, density = floquet_dos(*args, **kwargs)
+            return centers, density * (1.0 + 1e-9)
+
+        monkeypatch.setattr(experiments, "floquet_dos", off_by_1e9)
+        args = ["n_sites=8", "omega_count=2", "truncation=1"]
+        code = run_cli(["aah", "--out", str(tmp_path)] + [x for a in args for x in ("--set", a)])
+        assert code == 3
+        assert "Floquet DOS" in capsys.readouterr().err
+
     def test_io_error_exits_4(self, tmp_path):
         blocker = tmp_path / "blocker"
         blocker.write_text("a file, not a directory")
@@ -192,7 +206,8 @@ class TestEndToEnd:
         assert (out / "peaks.csv").exists()
         rows = list(csv.reader(open(out / "report.csv")))
         assert rows[0] == [
-            "a_over_omega", "v_max_tot", "log10_vmax", "sigma_min", "quasienergy_gap", "discarded_rank"
+            "a_over_omega", "v_max_tot", "log10_vmax", "sigma_min", "quasienergy_gap", "discarded_rank",
+            "edge_sector_weight",
         ]
 
     def test_cdt_duo_small(self, tmp_path):
@@ -227,6 +242,25 @@ class TestEndToEnd:
         assert rows[0][:2] == ["a_over_omega1", "b_over_omega1"]
         assert len(rows) == 17
         assert 0.0 < meta["max_norm_drift"] <= 1e-7
+
+    def test_cdt_duo_stores_only_written_rows(self, tmp_path, monkeypatch):
+        stored = []
+
+        def recorded(*args, **kwargs):
+            traj = propagate(*args, **kwargs)
+            stored.append(traj.states.shape[0])
+            return traj
+
+        monkeypatch.setattr(experiments, "propagate", recorded)
+        config = TestOneFactorization.default_config("cdt-duo", tmp_path)
+        config.params.update(a_count=2, b_count=2, truncation1=1, truncation2=1, n_periods=1)
+        run_cdt_duo(config)
+        written = len((tmp_path / "trajectory_localized_left.csv").read_text().splitlines()) - 1
+        assert stored == [written]
+        p = config.params
+        dt = 2.0 * math.pi / (p["omega2_ratio"] * p["omega1"]) / p["steps_per_period"]
+        n_steps = math.ceil(p["n_periods"] * 2.0 * math.pi / p["omega1"] / dt)
+        assert written == len(range(0, n_steps + 1, p["traj_stride"]))
 
     def test_hn_discarded_rank_column(self, tmp_path):
         # at N = 200, r = 1.3 the skin direction has sigma_min^2 / sigma_max^2
@@ -329,6 +363,12 @@ class TestEndToEnd:
         assert "numpy" in manifest["versions"]
         assert manifest["wall_time_s"] > 0.0
         assert "report.csv" in manifest["outputs"]
+        assert manifest["host"] == {
+            "cpu_count": os.cpu_count(),
+            "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+            "OMP_NUM_THREADS": os.environ.get("OMP_NUM_THREADS"),
+        }
+        assert manifest["peak_rss_mib"] > 0.0
 
 
 class TestGridMap:
@@ -347,15 +387,16 @@ class TestOneFactorization:
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        counts = {}
+        """(routine, input dtype) of every numpy.linalg factorization call."""
+        seen = []
         for name in ("svd", "eigh", "eigvalsh", "eig"):
 
-            def counted(*args, _name=name, _original=getattr(np.linalg, name), **kwargs):
-                counts[_name] = counts.get(_name, 0) + 1
-                return _original(*args, **kwargs)
+            def counted(matrix, *args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+                seen.append((_name, np.asarray(matrix).dtype))
+                return _original(matrix, *args, **kwargs)
 
             monkeypatch.setattr(np.linalg, name, counted)
-        return counts
+        return seen
 
     @staticmethod
     def default_config(experiment, out_dir):
@@ -364,18 +405,18 @@ class TestOneFactorization:
 
     def test_ssh_one_per_variant(self, calls, tmp_path):
         run_ssh(self.default_config("ssh", tmp_path))
-        assert sum(calls.values()) == 3
+        assert calls == [("eigh", np.float64)] * 3
 
     def test_bbh_one(self, calls, tmp_path):
         run_bbh(self.default_config("bbh", tmp_path))
-        assert sum(calls.values()) == 1
+        assert calls == [("eigh", np.float64)]
 
     def test_aah_point_one_eigh(self, calls):
         _aah_point(
             2.5, n_sites=8, hopping=1.0, lambda0=2.8, amplitude=3.7,
             alpha=GOLDEN_RATIO_CONJUGATE, theta=0.0, truncation=1, bin_width=0.01, rcond=1e-12,
         )
-        assert calls == {"eigh": 1}
+        assert calls == [("eigh", np.float64)]
 
 
 class TestOneRk4Pass:

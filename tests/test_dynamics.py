@@ -117,6 +117,26 @@ class TestPropagate:
         for k, psi0 in enumerate((LEFT, PARTIAL)):
             assert np.abs(batch.states[:, k] - propagate(drive, psi0, 1.0).states).max() <= 1e-13
 
+    @pytest.mark.parametrize("stride", [1, 7, 100, 5000])
+    def test_stride_keeps_every_stride_th_step(self, stride):
+        # 2,501 steps span three drift blocks; at the coarsest allowed dt the
+        # drift grows with time, so its maximum sits in the last, partial block
+        drive = DriveSignal(1.0, ((100.0,), (30.0,)), (10.0,))
+        dt = 2.0 * math.pi / 10.0 / 200.0
+        t_end = 2500.5 * dt
+        full = propagate(drive, np.array([LEFT, PARTIAL]), t_end, dt)
+        kept = propagate(drive, np.array([LEFT, PARTIAL]), t_end, dt, stride=stride)
+        assert full.times.size == 2502
+        assert np.array_equal(kept.times, full.times[::stride])
+        assert np.array_equal(kept.states, full.states[::stride])
+        assert np.array_equal(kept.p_left, full.p_left[::stride])
+        drift = np.abs(np.linalg.norm(full.states, axis=-1) - 1.0).max()
+        assert kept.max_norm_drift == full.max_norm_drift == drift
+
+    def test_stride_validation(self):
+        with pytest.raises(ValueError):
+            propagate(DriveSignal(1.0, (1.0,), (10.0,)), LEFT, 1.0, stride=0)
+
     def test_batch_row_count_mismatch(self):
         drive = DriveSignal(1.0, ((1.0,), (2.0,), (3.0,)), (10.0,))
         with pytest.raises(ValueError):

@@ -46,6 +46,25 @@ class TestOperator:
     def test_dim(self):
         assert Operator(np.eye(4)).dim == 4
 
+    def test_exactly_real_entries_are_float64(self):
+        for entries in ([[1, 2], [3, 4]], np.eye(2, dtype=bool), np.eye(2, dtype=np.float32),
+                        np.array([[1.0, -0.0j], [2.0, 3.0]])):
+            op = Operator(entries)
+            assert op.entries.dtype == np.float64
+            assert np.array_equal(op.entries, np.asarray(entries))
+
+    def test_any_imaginary_part_keeps_complex128(self):
+        entries = np.array([[1.0, 1e-300j], [0.0, 1.0]])
+        op = Operator(entries)
+        assert op.entries.dtype == np.complex128
+        assert np.array_equal(op.entries, entries)
+
+    def test_entries_are_a_private_copy(self):
+        for entries in (np.eye(2), np.eye(2, dtype=complex)):
+            op = Operator(entries)
+            entries[0, 0] = 5.0
+            assert op.entries[0, 0] == 1.0
+
 
 class TestNormalOperator:
     def test_nilpotent(self):
@@ -131,6 +150,50 @@ class TestFactorize:
             right = vh.conj().T[:, keep]
             v_ref = right @ ((right.conj().T @ np.ones(d)) / s_ref[keep] ** 2)
             assert np.abs(res.v_complex - v_ref).max() <= 1e-9 * np.abs(v_ref).max()
+
+
+class TestRealDtype:
+    """Real operators factorized by real LAPACK agree with the complex routines."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_real_routes_match_complex_cast(self, data):
+        d = data.draw(st.integers(2, 40), label="d")
+        symmetric = data.draw(st.booleans(), label="symmetric")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        s = rng.uniform(0.5, 3.0, size=d)
+        # some draws plant a small singular value, on either side of the v check
+        exponent = data.draw(st.one_of(st.none(), st.floats(-8.0, 0.0)), label="planted")
+        if exponent is not None:
+            s[0] = 10.0**exponent
+        q = np.linalg.qr(rng.normal(size=(d, d)))[0]
+        if symmetric:
+            m = (q * (s * rng.choice([-1.0, 1.0], size=d))) @ q.T
+            m = 0.5 * (m + m.T)
+        else:
+            m = (q * s) @ np.linalg.qr(rng.normal(size=(d, d)))[0].T
+        op = Operator(m)
+        assert op.entries.dtype == np.float64
+        cast = m.astype(complex)
+
+        spectrum = factorize(op)
+        assert spectrum.right.dtype == np.float64
+        u_ref, s_ref, vh_ref = np.linalg.svd(cast)
+        assert np.abs(np.sort(spectrum.sigma)[::-1] - s_ref).max() <= 1e-12 * s_ref[0]
+
+        res = solve_landscape(op)
+        assert res.v_complex.dtype == np.float64
+        if s_ref[-1] ** 2 > 1e-10 * s_ref[0] ** 2:
+            v_ref = vh_ref.conj().T @ ((vh_ref @ np.ones(d)) / s_ref**2)
+            assert np.abs(res.v_complex - v_ref).max() <= 1e-9 * np.abs(v_ref).max()
+
+        # conjugate pairs may come out in either order, so each eigenvalue
+        # is matched to its nearest partner both ways
+        values = eig_general(op).values
+        assert values.dtype == np.complex128
+        ref = np.linalg.eig(cast)[0]
+        gap = np.abs(values[:, None] - ref[None, :])
+        assert max(gap.min(axis=0).max(), gap.min(axis=1).max()) <= 1e-10 * np.linalg.norm(m, 2)
 
 
 class TestEigGeneral:

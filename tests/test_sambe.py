@@ -11,13 +11,21 @@ from locland import (
     FourierDrive,
     Operator,
     SambeIndexMap,
+    SshConfig,
+    aah_drive,
+    aah_static,
+    bbh,
     build_sambe,
     build_sambe_duo,
     build_sambe_mono,
+    hatano_nelson,
+    solve_landscape,
+    ssh,
     two_level_drive_duo,
     two_level_drive_mono,
     two_level_static,
 )
+from locland.experiments import SCHEMAS, RunConfig, _bounds_model
 
 from oracles import sambe_entry_oracle
 
@@ -204,6 +212,75 @@ class TestWeightProfile:
         index_map = SambeIndexMap(base_dim=2, truncations=(1,))
         with pytest.raises(DimensionError):
             index_map.site_sum(np.zeros(5))
+
+
+class TestEdgeSectorWeight:
+    def test_counts_only_edges_of_truncated_tones(self):
+        # the second tone has M2 = 0: its one harmonic is never an edge
+        index_map = SambeIndexMap(base_dim=2, truncations=(2, 0))
+        for m1, expected in ((-2, 1.0), (-1, 0.0), (0, 0.0), (2, 1.0)):
+            vec = np.zeros(index_map.flat_dim)
+            vec[index_map.sectors([m1, 0]) * 2 + 1] = -3.0
+            assert index_map.edge_sector_weight(vec) == expected
+
+    def test_uniform_vector(self):
+        for base_dim, truncations, expected in ((3, (1,), 2 / 3), (1, (1, 1), 8 / 9), (2, (0,), 0.0)):
+            index_map = SambeIndexMap(base_dim=base_dim, truncations=truncations)
+            weight = index_map.edge_sector_weight(np.ones(index_map.flat_dim))
+            assert weight == pytest.approx(expected, abs=1e-15)
+
+    def test_length_mismatch(self):
+        with pytest.raises(DimensionError):
+            SambeIndexMap(base_dim=2, truncations=(1,)).edge_sector_weight(np.ones(5))
+
+    def test_falls_with_truncation_at_strong_drive(self):
+        # at A / omega = 10, M = 6 leaves about 6e-2 of |v| on the edge and M = 14 about 4e-6
+        weights = {}
+        for m in (6, 14):
+            lifted = build_sambe_mono(two_level_static(1.0), two_level_drive_mono(100.0), 10.0, m)
+            res = solve_landscape(lifted.matrix)
+            weights[m] = lifted.index_map.edge_sector_weight(res.amplitude)
+        assert weights[6] > 100.0 * weights[14]
+
+
+class TestDtypeContract:
+    """Every model and every Sambe lift of real inputs is real."""
+
+    def test_models_are_float64(self):
+        ops = [
+            hatano_nelson(6, 1.0, 0.5),
+            aah_static(6, 1.0, 2.8, 0.618, 0.3),
+            two_level_static(1.0),
+            bbh(2, 2, 0.5, 1.0),
+            *(ssh(SshConfig(v, 4, 0.5, 1.0)) for v in ("topological", "domain_wall")),
+            ssh(SshConfig("trivial", 4, 1.0, 0.5)),
+        ]
+        drives = (aah_drive(6, 3.7, 0.618, 0.3), two_level_drive_mono(4.0), two_level_drive_duo(4.0, 8.0))
+        for drive in drives:
+            ops += list(drive.blocks.values())
+        for model in ("hermitian_pd", "hn", "diag"):
+            params = {key: entry.default for key, entry in SCHEMAS["bounds"].items()}
+            params.update(model=model, n_sites=10, dimension=5)
+            ops.append(_bounds_model(RunConfig("bounds", params, out_dir=".", seed=3)))
+        for op in ops:
+            assert op.entries.dtype == np.float64, op.label
+
+    def test_lifts_of_real_inputs_are_float64(self):
+        lifts = [
+            build_sambe_mono(two_level_static(1.0), two_level_drive_mono(24.0), 10.0, 3),
+            build_sambe_duo(two_level_static(1.0), two_level_drive_duo(24.0, 8.0), 10.0, 14.1, 2, 1),
+            build_sambe_mono(aah_static(5, 1.0, 2.8, 0.618), aah_drive(5, 3.7, 0.618), 2.5, 2),
+        ]
+        for lifted in lifts:
+            assert lifted.matrix.entries.dtype == np.float64
+
+    def test_complex_drive_block_keeps_lift_complex(self):
+        h0 = np.array([[0.3, -1.0], [-1.0, -0.2]])
+        blocks = {1: np.array([[0.5, 0.25j], [0.0, -0.5]]), -1: np.array([[0.5, 0.0], [-0.25j, -0.5]])}
+        drive = FourierDrive(blocks={k: Operator(b) for k, b in blocks.items()}, base_dim=2)
+        lifted = build_sambe_mono(Operator(h0), drive, 10.0, 2)
+        assert lifted.matrix.entries.dtype == np.complex128
+        assert np.array_equal(lifted.matrix.entries, sambe_entry_oracle(h0, blocks, (10.0,), (2,)))
 
 
 class TestBuildSambe:
