@@ -156,7 +156,7 @@ class MidgapMode:
     index: int
     energy: complex
     weight: np.ndarray  # |psi_j|^2, sums to 1
-    argmax_site: int  # 1-based
+    argmax_site: int  # 1-based peak_site of weight
     participation: float  # 1 / sum_j w_j^2
 
 
@@ -168,9 +168,23 @@ class MidgapReport:
     """
 
     modes: list
-    landscape_argmax_site: int  # 1-based argmax of landscape.peak_profile
+    landscape_argmax_site: int  # 1-based peak_site of landscape.peak_profile
     window: float
     landscape: LandscapeResult
+
+
+#: sites within this relative distance of a profile's maximum tie for its peak
+PEAK_TIE_RTOL = 1e-12
+
+
+def peak_site(profile: np.ndarray) -> int:
+    """1-based lowest site of a nonnegative profile within PEAK_TIE_RTOL of its maximum.
+
+    Mirror-symmetric chains peak equally at both ends to roundoff; the tie
+    rule keeps the reported site from depending on which end the
+    factorization's last bits favour.
+    """
+    return int(np.flatnonzero(profile >= (1.0 - PEAK_TIE_RTOL) * profile.max())[0]) + 1
 
 
 def estimate_midgap_window(eigenvalues: np.ndarray) -> float:
@@ -189,8 +203,8 @@ def midgap_report(
     """All eigenpairs of a Hermitian H with |E| inside the midgap window.
 
     The window defaults to 10% of the largest spectral gap.  Each entry
-    carries the site weight profile and its argmax; the report also records
-    where the landscape of the same H peaks (the argmax of its
+    carries the site weight profile and its peak site; the report also
+    records where the landscape of the same H peaks (the peak site of its
     peak_profile), which is the colocalization cross-reference used by the
     topology experiments.  Modes and landscape come from the one
     factorization of H inside solve_landscape; a non-Hermitian H raises
@@ -213,13 +227,13 @@ def midgap_report(
                 index=int(k),
                 energy=complex(energies[k]),
                 weight=weight,
-                argmax_site=int(np.argmax(weight)) + 1,
+                argmax_site=peak_site(weight),
                 participation=float(1.0 / (weight @ weight)),
             )
         )
     return MidgapReport(
         modes=modes,
-        landscape_argmax_site=int(np.argmax(landscape.peak_profile)) + 1,
+        landscape_argmax_site=peak_site(landscape.peak_profile),
         window=float(energy_window),
         landscape=landscape,
     )

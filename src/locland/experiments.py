@@ -26,6 +26,7 @@ from .diagnostics import (
     floquet_dos,
     format_number,
     midgap_report,
+    peak_site,
     pearson,
     spearman,
 )
@@ -284,7 +285,9 @@ def run_cdt_mono(config: RunConfig) -> SweepReport:
     vmax = np.array([pt["v_max_tot"] for pt in points])
     log_vmax = np.log10(vmax)
     dt = 2.0 * math.pi / omega / p["steps_per_period"]
-    eps = monodromy_quasienergies_sweep(p["j_coupling"], us * omega, omega, dt)
+    eps, unitarity_defect = monodromy_quasienergies_sweep(
+        p["j_coupling"], us * omega, omega, dt, with_defect=True
+    )
     gap = np.array([quasienergy_gap(pair, omega) for pair in eps])
 
     peaks = detect_peaks(log_vmax, us, p["prominence"])
@@ -318,6 +321,7 @@ def run_cdt_mono(config: RunConfig) -> SweepReport:
             "truncation": p["truncation"],
             "peak_positions": [pos for pos, _ in peaks],
             "gap_minimum_positions": [pos for pos, _ in gap_minima],
+            "max_monodromy_unitarity_defect": unitarity_defect,
         },
     )
 
@@ -338,7 +342,8 @@ def _cdt_duo_point(pair, j_coupling, omega1, omega2, m1, m2, rcond) -> dict:
 #: partially left-localized initial state used in the trajectory panels
 PARTIAL_LEFT_STATE = np.array([math.sqrt(3.0) / 2.0, 0.5], dtype=complex)
 
-#: largest RK4 norm drift allowed on the marked trajectories (exit 3 above)
+#: largest RK4 norm drift allowed on the min_PL grid and the marked
+#: trajectories (exit 3 above)
 NORM_DRIFT_LIMIT = 1e-7
 
 
@@ -365,9 +370,11 @@ def run_cdt_duo(config: RunConfig) -> SweepReport:
     dt = 2.0 * math.pi / omega2 / p["steps_per_period"]
     amp_pairs = np.array(grid_pairs) * omega1
     psi_left = np.array([1.0, 0.0], dtype=complex)
-    min_pl = min_left_population_grid(
-        p["j_coupling"], amp_pairs, (omega1, omega2), psi_left, p["n_periods"], dt
+    min_pl, grid_drift = min_left_population_grid(
+        p["j_coupling"], amp_pairs, (omega1, omega2), psi_left, p["n_periods"], dt, with_drift=True
     )
+    if grid_drift > NORM_DRIFT_LIMIT:
+        raise AccuracyError(f"min_PL grid drifts from unit norm by {grid_drift:.2e}; reduce dt")
 
     # exact reduction: the B = 0 sweep with no second harmonic sector is the
     # monochromatic operator re-indexed, so v_max must match to roundoff
@@ -448,6 +455,7 @@ def run_cdt_duo(config: RunConfig) -> SweepReport:
             "b0_row_max_rel_diff_full_truncation": full_row_diff,
             "marked_points": marked,
             "max_norm_drift": drift,
+            "grid_max_norm_drift": grid_drift,
         },
     )
 
@@ -548,7 +556,7 @@ def _colocalization_checks(report, amplitude, site_tolerance: int) -> dict:
         hi = min(amplitude.size, mode.argmax_site + site_tolerance)
         local = float(amplitude[lo:hi].max()) if hi > lo else 0.0
         per_mode.append(local >= 0.5 * amp_max)
-    global_site = int(np.argmax(amplitude)) + 1
+    global_site = peak_site(amplitude)
     global_ok = any(
         abs(global_site - mode.argmax_site) <= site_tolerance for mode in report.modes
     )

@@ -4,7 +4,8 @@ Every routine here deliberately avoids the code path it is used to check:
 determinants come from LU instead of eigensolvers, linear solves from
 hand-rolled Gaussian elimination, Bessel zeros from the defining series,
 spectra from closed-form formulas, and extended-space matrices entry by
-entry from the Sambe formula.
+entry from the Sambe formula, and two-level dynamics from the classic
+k1 ... k4 Runge-Kutta stages applied one step at a time.
 """
 
 from __future__ import annotations
@@ -145,3 +146,28 @@ def sambe_entry_oracle(h0: np.ndarray, blocks: dict, omegas, truncations) -> np.
                         entry = entry + block[i, j]
                     out[a * n + i, b * n + j] = entry
     return out
+
+
+def _two_level_rhs(t, psi, j_coupling, amps, freqs):
+    # i psi' = [alpha(t) sigma_z - J sigma_x] psi, alpha = s(t) / 2; psi (B, 2), amps (B, K)
+    s_t = amps @ np.cos(freqs * t)
+    hpsi = -j_coupling * psi[:, ::-1] + (0.5 * s_t)[:, None] * (psi * np.array([1.0, -1.0]))
+    return -1j * hpsi
+
+
+def rk4_step_oracle(t, psi, dt, j_coupling, amps, freqs):
+    """One classic RK4 step of the driven two-level batch, stage by stage."""
+    k1 = _two_level_rhs(t, psi, j_coupling, amps, freqs)
+    k2 = _two_level_rhs(t + 0.5 * dt, psi + (0.5 * dt) * k1, j_coupling, amps, freqs)
+    k3 = _two_level_rhs(t + 0.5 * dt, psi + (0.5 * dt) * k2, j_coupling, amps, freqs)
+    k4 = _two_level_rhs(t + dt, psi + dt * k3, j_coupling, amps, freqs)
+    return psi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def rk4_trajectory_oracle(psi, n_full, last, dt, j_coupling, amps, freqs):
+    """States (n, B, 2) at t = 0, dt, ..., n_full dt and, if last > 0, n_full dt + last."""
+    states = [psi]
+    for k in range(n_full + (last > 0.0)):
+        psi = rk4_step_oracle(k * dt, psi, dt if k < n_full else last, j_coupling, amps, freqs)
+        states.append(psi)
+    return np.array(states)

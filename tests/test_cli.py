@@ -2,6 +2,8 @@ import csv
 import json
 import math
 import os
+from itertools import groupby
+from operator import itemgetter
 
 import numpy as np
 import pytest
@@ -139,6 +141,16 @@ class TestCliExitCodes:
         assert code == 3
         assert "unit norm" in capsys.readouterr().err
 
+    def test_cdt_duo_grid_norm_drift_exits_3(self, tmp_path, capsys):
+        # the same coarse step fails the min_PL grid's own gate, before any
+        # marked trajectory runs
+        args = ["a_count=2", "b_count=2", "amp_max=10", "n_periods=2", "truncation1=1",
+                "truncation2=1", "steps_per_period=200"]
+        code = run_cli(["cdt-duo", "--out", str(tmp_path)] + [x for a in args for x in ("--set", a)])
+        assert code == 3
+        assert "min_PL grid drifts from unit norm" in capsys.readouterr().err
+        assert not list(tmp_path.glob("trajectory_*.csv"))
+
     def test_aah_dos_contract_exits_3(self, tmp_path, monkeypatch, capsys):
         def off_by_1e9(*args, **kwargs):
             centers, density = floquet_dos(*args, **kwargs)
@@ -203,6 +215,7 @@ class TestEndToEnd:
         meta = json.loads((out / "report.json").read_text())["metadata"]
         assert len(meta["peak_positions"]) == 1  # one root of J0 below 4
         assert abs(meta["peak_positions"][0] - 2.405) < 0.1
+        assert 0.0 < meta["max_monodromy_unitarity_defect"] <= 1e-8
         assert (out / "peaks.csv").exists()
         rows = list(csv.reader(open(out / "report.csv")))
         assert rows[0] == [
@@ -242,6 +255,7 @@ class TestEndToEnd:
         assert rows[0][:2] == ["a_over_omega1", "b_over_omega1"]
         assert len(rows) == 17
         assert 0.0 < meta["max_norm_drift"] <= 1e-7
+        assert 0.0 < meta["grid_max_norm_drift"] <= 1e-7
 
     def test_cdt_duo_stores_only_written_rows(self, tmp_path, monkeypatch):
         stored = []
@@ -423,18 +437,19 @@ class TestOneRk4Pass:
     """The min_PL grid and the four marked cdt-duo trajectories take one RK4 pass each."""
 
     def test_cdt_duo_two_passes(self, monkeypatch, tmp_path):
-        rows = []
-        step = dynamics._rk4_step
+        blocks = []  # (rows, steps) of every block of step maps, in call order
+        step_maps = dynamics._step_maps
 
-        def counted(t, psi, *args):
-            rows.append(psi.shape[0])
-            return step(t, psi, *args)
+        def counted(t, h, j_coupling, amps, freqs):
+            blocks.append((amps.shape[0], len(t)))
+            return step_maps(t, h, j_coupling, amps, freqs)
 
-        monkeypatch.setattr(dynamics, "_rk4_step", counted)
+        monkeypatch.setattr(dynamics, "_step_maps", counted)
         config = TestOneFactorization.default_config("cdt-duo", tmp_path)
         config.params.update(a_count=3, b_count=2, truncation1=1, truncation2=1, n_periods=1)
         run_cdt_duo(config)
         p = config.params
         dt = 2.0 * math.pi / (p["omega2_ratio"] * p["omega1"]) / p["steps_per_period"]
         n_steps = math.ceil(p["n_periods"] * 2.0 * math.pi / p["omega1"] / dt)
-        assert rows == [6] * n_steps + [4] * n_steps
+        passes = [(rows, sum(n for _, n in run)) for rows, run in groupby(blocks, key=itemgetter(0))]
+        assert passes == [(6, n_steps), (4, n_steps)]

@@ -24,6 +24,7 @@ from locland import (
     spearman,
     ssh,
 )
+from locland.diagnostics import peak_site
 from locland.linalg import weighted_mean_site
 
 from conftest import random_complex
@@ -252,6 +253,18 @@ class TestMidgapReport:
             assert mode.participation > 1.0
         assert min(abs(report.landscape_argmax_site - e) for e in ends) <= 3
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    @pytest.mark.parametrize("n_cells", [20, 31])
+    def test_mirror_symmetric_chain_reports_first_end(self, n_cells, dtype):
+        # both ends of the topological chain peak equally to roundoff; the
+        # complex cast bypasses the Operator dtype rule to reach complex LAPACK
+        op = ssh(SshConfig("topological", n_cells, t_intra=0.5, t_inter=1.0))
+        object.__setattr__(op, "entries", op.entries.astype(dtype))
+        report = midgap_report(op, rcond=1e-24)
+        assert report.landscape.spectrum.right.dtype == dtype
+        assert report.landscape_argmax_site == 1
+        assert [mode.argmax_site for mode in report.modes] == [1, 1]
+
     def test_bbh_four_corner_modes(self):
         report = midgap_report(bbh(6, 6, 0.5, 1.0))
         assert len(report.modes) == 4
@@ -264,6 +277,14 @@ class TestMidgapReport:
         report = midgap_report(Operator(np.diag([0.05, -0.2, 1.0])), energy_window=0.1)
         assert len(report.modes) == 1
         assert report.modes[0].energy == pytest.approx(0.05)
+
+
+class TestPeakSite:
+    def test_lowest_of_tied_sites(self):
+        assert peak_site(np.array([1.0 - 1e-13, 0.5, 1.0])) == 1
+
+    def test_clear_maximum_wins(self):
+        assert peak_site(np.array([1.0 - 1e-11, 0.5, 1.0])) == 3
 
 
 class TestSweepReport:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from locland import (
     AccuracyError,
@@ -16,8 +18,9 @@ from locland import (
     two_level_drive_mono,
     two_level_static,
 )
+from locland import dynamics
 
-from oracles import j0_zero_bisection
+from oracles import j0_zero_bisection, rk4_trajectory_oracle
 
 LEFT = np.array([1.0, 0.0], dtype=complex)
 PARTIAL = np.array([math.sqrt(3.0) / 2.0, 0.5], dtype=complex)
@@ -119,8 +122,8 @@ class TestPropagate:
 
     @pytest.mark.parametrize("stride", [1, 7, 100, 5000])
     def test_stride_keeps_every_stride_th_step(self, stride):
-        # 2,501 steps span three drift blocks; at the coarsest allowed dt the
-        # drift grows with time, so its maximum sits in the last, partial block
+        # 2,501 steps span three step-map blocks; at the coarsest allowed dt
+        # the drift grows with time, so its maximum sits in the last, partial block
         drive = DriveSignal(1.0, ((100.0,), (30.0,)), (10.0,))
         dt = 2.0 * math.pi / 10.0 / 200.0
         t_end = 2500.5 * dt
@@ -133,6 +136,20 @@ class TestPropagate:
         drift = np.abs(np.linalg.norm(full.states, axis=-1) - 1.0).max()
         assert kept.max_norm_drift == full.max_norm_drift == drift
 
+    @pytest.mark.parametrize("stride", [3, 1000])
+    def test_stride_rows_across_block_boundaries_match_oracle(self, stride):
+        amps, freqs = np.array([[24.0], [7.0]]), np.array([10.0])
+        psi0 = np.array([LEFT, PARTIAL])
+        dt = 2.0 * math.pi / 10.0 / 400.0
+        t_end = (2 * dynamics._block_steps(2) + 5.5) * dt
+        kept = propagate(DriveSignal(1.0, tuple(map(tuple, amps)), (10.0,)), psi0, t_end, dt, stride=stride)
+        n_full, last = dynamics._step_plan(t_end, dt)
+        expected = rk4_trajectory_oracle(psi0, n_full, last, dt, 1.0, amps, freqs)
+        times = np.append(np.arange(n_full + 1) * dt, t_end)
+        assert np.array_equal(kept.times, times[::stride])
+        assert kept.states.shape == expected[::stride].shape
+        assert np.abs(kept.states - expected[::stride]).max() <= 1e-13
+
     def test_stride_validation(self):
         with pytest.raises(ValueError):
             propagate(DriveSignal(1.0, (1.0,), (10.0,)), LEFT, 1.0, stride=0)
@@ -141,6 +158,49 @@ class TestPropagate:
         drive = DriveSignal(1.0, ((1.0,), (2.0,), (3.0,)), (10.0,))
         with pytest.raises(ValueError):
             propagate(drive, np.array([LEFT, PARTIAL]), 1.0)
+
+
+class TestStepMaps:
+    """_evolve's blocked 2x2 step maps against the classic k1 ... k4 RK4 oracle."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_blocks_match_rk4_oracle(self, data):
+        tones = data.draw(st.integers(1, 2), label="tones")
+        rows = data.draw(st.integers(1, 64), label="rows")
+        j_coupling = data.draw(st.floats(-3.0, 3.0), label="j_coupling")
+        freqs = np.array(
+            data.draw(st.lists(st.floats(1.0, 20.0), min_size=tones, max_size=tones), label="freqs")
+        )
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        amps = rng.uniform(-12.0, 12.0, (rows, tones)) * freqs.min()
+        psi0 = rng.normal(size=(rows, 2)) + 1j * rng.normal(size=(rows, 2))
+        psi0 /= np.linalg.norm(psi0, axis=1, keepdims=True)
+        dt = 2.0 * math.pi / freqs.max() / data.draw(st.integers(200, 400), label="steps_per_period")
+        # step counts on both sides of one and two block lengths, with and
+        # without a final partial step
+        block = dynamics._block_steps(rows)
+        n_full = data.draw(st.sampled_from([block - 1, block, block + 1, 2 * block + 3]), label="n")
+        t_end = (n_full + data.draw(st.sampled_from([0.0, 0.25, 0.999]), label="last")) * dt
+        blocks = list(dynamics._evolve(psi0, t_end, dt, j_coupling, amps, freqs))
+        plan = dynamics._step_plan(t_end, dt)
+        expected = rk4_trajectory_oracle(psi0, *plan, dt, j_coupling, amps, freqs)
+        assert [len(t) for t, _ in blocks[1:-1]] == [block] * (len(blocks) - 2)
+        states = np.concatenate([s for _, s in blocks])
+        assert states.shape == expected.shape
+        assert np.concatenate([t for t, _ in blocks])[-1] == t_end
+        assert np.abs(states - expected).max() <= 1e-13
+
+    def test_constant_drive_rounding_does_not_accumulate(self):
+        # the same map on 20,000 steps: rounding 1 + r once per step would
+        # drift from the oracle by about 1e-12
+        psi0 = np.array([LEFT, PARTIAL])
+        amps, freqs = np.zeros((2, 1)), np.array([10.0])
+        dt = 2.0 * math.pi / 10.0 / 2000.0
+        blocks = dynamics._evolve(psi0, 20000 * dt, dt, 1.0, amps, freqs)
+        states = np.concatenate([s for _, s in blocks])
+        expected = rk4_trajectory_oracle(psi0, 20000, 0.0, dt, 1.0, amps, freqs)
+        assert np.abs(states - expected).max() <= 1e-13
 
 
 class TestMinLeftPopulation:
@@ -173,6 +233,15 @@ class TestMinLeftPopulationGrid:
             traj = propagate(DriveSignal(1.0, (a, b), freqs), LEFT, 7 * 2.0 * math.pi / freqs[0])
             assert grid[k] == pytest.approx(traj.p_left.min(), abs=1e-12)
 
+    def test_drift_covers_every_row(self):
+        freqs = (10.0, 10.0 * math.sqrt(2.0))
+        pairs = np.array([[24.0, 8.0], [0.0, 50.0], [130.0, 77.0]])
+        grid, drift = min_left_population_grid(1.0, pairs, freqs, LEFT, 3, with_drift=True)
+        assert np.array_equal(grid, min_left_population_grid(1.0, pairs, freqs, LEFT, 3))
+        t_end = 3 * 2.0 * math.pi / freqs[0]
+        rows = [propagate(DriveSignal(1.0, tuple(p), freqs), LEFT, t_end) for p in pairs]
+        assert drift == pytest.approx(max(row.max_norm_drift for row in rows), rel=1e-6)
+
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             min_left_population_grid(1.0, np.zeros((3, 1)), (1.0, 2.0), LEFT, 1)
@@ -202,7 +271,8 @@ class TestMonodromy:
     def test_sweep_matches_scalar(self):
         omega = 10.0
         amps = np.array([0.0, 11.0, 24.0, 60.0])
-        sweep = monodromy_quasienergies_sweep(1.0, amps, omega)
+        sweep, defect = monodromy_quasienergies_sweep(1.0, amps, omega, with_defect=True)
+        assert 0.0 < defect <= 1e-8
         for k, amp in enumerate(amps):
             single = monodromy_quasienergies(amp, omega)
             assert np.abs(sweep[k] - single).max() < 1e-12
