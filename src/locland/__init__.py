@@ -47,6 +47,7 @@ from .linalg import (
     Spectrum,
     eig_general,
     factorize,
+    gauge_eigh,
     normal_operator,
     pseudo_solve,
 )

@@ -128,7 +128,9 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=f"run the {name} experiment")
         p.add_argument("--config", help="flat key=value file or manifest.json of a previous run")
         p.add_argument("--out", default=".", help="output directory (default: current)")
-        p.add_argument("--workers", type=int, default=1, help="worker processes for grid points")
+        p.add_argument(
+            "--workers", type=int, default=1, help="accepted and ignored: grids run serially"
+        )
         p.add_argument(
             "--set",
             action="append",
@@ -156,12 +158,8 @@ def _write_manifest(config: RunConfig, wall_time: float, outputs: list) -> None:
             "OMP_NUM_THREADS": os.environ.get("OMP_NUM_THREADS"),
         },
         "wall_time_s": wall_time,
-        # ru_maxrss is in KiB on Linux; the children term covers worker pools
-        "peak_rss_mib": max(
-            resource.getrusage(who).ru_maxrss
-            for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)
-        )
-        / 1024.0,
+        # ru_maxrss is in KiB on Linux
+        "peak_rss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
         "outputs": sorted(outputs),
     }
     with open(config.out_dir / "manifest.json", "w", newline="\n") as fh:

@@ -16,13 +16,25 @@ import numpy as np
 
 from .errors import DegenerateInputError, DimensionError, HermiticityError
 from .landscape import LandscapeResult, solve_landscape
-from .linalg import DEFAULT_RCOND, Operator, eig_general
+from .linalg import DEFAULT_RCOND, EigResult, Operator, eig_general, gauge_eigh
 
 
-def average_right_density(op: Operator) -> np.ndarray:
-    """Mean density of all normalized right eigenstates; sums to 1 over sites."""
-    eig = eig_general(op)
-    weights = np.abs(eig.vectors) ** 2
+def average_right_density(op: Operator, gauge_eig: EigResult | None = None) -> np.ndarray:
+    """Mean density of all normalized right eigenstates; sums to 1 over sites.
+
+    An operator with an imaginary gauge, H = D T D^-1, has the exact right
+    eigenvectors D phi_k, with phi_k from the eigh of T: pass the
+    landscape's gauge_eig to reuse it, or it is computed here.  D is
+    rescaled by its maximum first; each column is normalized, so the
+    density is unchanged and no entry can overflow.  Any other operator
+    goes through eig_general.
+    """
+    if op.log_gauge is None:
+        vectors = eig_general(op).vectors
+    else:
+        eig = gauge_eig if gauge_eig is not None else gauge_eigh(op)
+        vectors = np.exp(op.log_gauge - op.log_gauge.max())[:, None] * eig.vectors
+    weights = np.abs(vectors) ** 2
     weights /= weights.sum(axis=0)
     return weights.mean(axis=1)
 

@@ -3,15 +3,13 @@
 Each run_* function consumes a resolved RunConfig, returns the SweepReport
 that becomes report.csv / report.json, and writes its experiment-specific
 side files (profiles, peak tables, DOS grids, trajectories) into the output
-directory.  Grid points are dispatched to a worker pool when workers > 1;
-results are always assembled in grid order so reruns are bit-exact.
+directory.  Grid points run one after another in grid order, so reruns are
+bit-exact.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -68,7 +66,11 @@ class Field:
 
 @dataclass
 class RunConfig:
-    """Fully resolved run: experiment name, parameter dict, output handling."""
+    """Fully resolved run: experiment name, parameter dict, output handling.
+
+    workers is accepted and ignored: grids run serially in one process,
+    whose BLAS threading already uses the cores.
+    """
 
     experiment: str
     params: dict
@@ -85,8 +87,9 @@ SCHEMAS = {
         "r_min": Field(float, 0.7),
         "r_max": Field(float, 1.3),
         "r_count": Field(int, 25),
-        # tiny cutoff: skin-effect singular values reach 1e-10 at r=0.7 and
-        # must stay in the solve (they carry the boundary physics)
+        # unused on the gauge route (even n_sites), which is exact; odd
+        # chains take the cutoff route, where the skin-effect singular
+        # values must stay in the solve (they carry the boundary physics)
         "rcond": Field(float, 1e-24),
     },
     "cdt-mono": {
@@ -159,23 +162,9 @@ SCHEMAS = {
 }
 
 
-def _pool_size(workers: int, n_items: int) -> int:
-    """Worker processes worth starting: never more than cores or grid points.
-
-    A forked pool starts all of its processes at the first submit, so an
-    unclamped request would start them whether or not there is work.
-    """
-    return min(workers, os.cpu_count() or 1, n_items)
-
-
-def _grid_map(fn, items, workers: int) -> list:
-    """Map fn over grid points, preserving grid order."""
-    size = _pool_size(workers, len(items))
-    if size <= 1:
-        return [fn(item) for item in items]
-    with ProcessPoolExecutor(max_workers=size) as pool:
-        chunk = max(1, len(items) // (size * 4))
-        return list(pool.map(fn, items, chunksize=chunk))
+def _grid_map(fn, items) -> list:
+    """Map fn over grid points, one after another in grid order."""
+    return [fn(item) for item in items]
 
 
 def _write_profile_csv(path: Path, header: list, columns: list) -> None:
@@ -203,7 +192,7 @@ def _local_minima(series: np.ndarray, grid: np.ndarray) -> list:
 def _hn_point(r: float, n_sites: int, t_left: float, rcond: float) -> dict:
     op = hatano_nelson(n_sites, t_left, r * t_left)
     res = solve_landscape(op, rcond)
-    density = average_right_density(op)
+    density = average_right_density(op, res.gauge_eig)
     return {
         "v_max_tot": res.v_max,
         "sigma_min": res.sigma_min,
@@ -219,7 +208,7 @@ def run_hn(config: RunConfig) -> SweepReport:
     p = config.params
     rs = np.linspace(p["r_min"], p["r_max"], p["r_count"])
     fn = partial(_hn_point, n_sites=p["n_sites"], t_left=p["t_left"], rcond=p["rcond"])
-    points = _grid_map(fn, list(rs), config.workers)
+    points = _grid_map(fn, rs)
     for r, point in ((rs[0], points[0]), (rs[-1], points[-1])):
         sites = np.arange(1, p["n_sites"] + 1)
         dens, amp = point["density"], point["amplitude"]
@@ -281,7 +270,7 @@ def run_cdt_mono(config: RunConfig) -> SweepReport:
         truncation=p["truncation"],
         rcond=p["rcond"],
     )
-    points = _grid_map(fn, list(us), config.workers)
+    points = _grid_map(fn, us)
     vmax = np.array([pt["v_max_tot"] for pt in points])
     log_vmax = np.log10(vmax)
     dt = 2.0 * math.pi / omega / p["steps_per_period"]
@@ -363,7 +352,7 @@ def run_cdt_duo(config: RunConfig) -> SweepReport:
         m2=p["truncation2"],
         rcond=p["rcond"],
     )
-    points = _grid_map(fn, grid_pairs, config.workers)
+    points = _grid_map(fn, grid_pairs)
     vmax = np.array([pt["v_max_tot"] for pt in points])
     log_vmax = np.log10(vmax)
 
@@ -501,7 +490,7 @@ def run_aah(config: RunConfig) -> SweepReport:
         bin_width=p["bin_width"],
         rcond=p["rcond"],
     )
-    points = _grid_map(fn, list(omegas), config.workers)
+    points = _grid_map(fn, omegas)
     centers = points[0]["dos_centers"]
     _write_profile_csv(
         config.out_dir / "dos_grid.csv",
@@ -690,6 +679,12 @@ def run_bbh(config: RunConfig) -> SweepReport:
 
 
 def _bounds_model(config: RunConfig) -> Operator:
+    """The operator of a bounds run.
+
+    The hn chain drops its imaginary gauge and stays on the generic (SVD)
+    route: eigenmode_bound_report needs the right singular vectors of H,
+    which the gauge route does not compute.
+    """
     p = config.params
     name = p["model"]
     if name == "hermitian_pd":
@@ -704,7 +699,8 @@ def _bounds_model(config: RunConfig) -> Operator:
         m[np.arange(1, d), np.arange(d - 1)] = hop
         return Operator(m, label="random_hermitian_pd")
     if name == "hn":
-        return hatano_nelson(p["n_sites"], p["t_left"], p["r"] * p["t_left"])
+        chain = hatano_nelson(p["n_sites"], p["t_left"], p["r"] * p["t_left"])
+        return Operator(chain.entries, label=chain.label)
     if name == "diag":
         d = p["dimension"]
         return Operator(np.diag([p["epsilon"]] + [1.0] * (d - 1)), label="diag_epsilon")

@@ -1,23 +1,36 @@
 """Pseudoinverse landscape solver and its geometric indicators.
 
 The landscape v solves H^dag H v = 1 (all-ones right-hand side) through a
-cutoff pseudoinverse.  Its amplitude profile |v| bounds eigenmode amplitudes
-and blows up like sigma_min(H)^-2 whenever H develops a near-zero singular
-value, which is what makes v_max a gap-closing and localization diagnostic.
+cutoff pseudoinverse, or exactly through the imaginary gauge when H carries
+one.  Its amplitude profile |v| bounds eigenmode amplitudes and blows up
+like sigma_min(H)^-2 whenever H develops a near-zero singular value, which
+is what makes v_max a gap-closing and localization diagnostic.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import AccuracyError, DegenerateInputError, DimensionError
-from .linalg import DEFAULT_RCOND, Operator, Spectrum, factorize, weighted_mean_site
+from .linalg import (
+    DEFAULT_RCOND,
+    EigResult,
+    Operator,
+    Spectrum,
+    factorize,
+    gauge_eigh,
+    weighted_mean_site,
+)
 from .sambe import SambeIndexMap
 
 #: slack allowed when validating the norm-bound chain on every solve
 _BOUND_RTOL = 1e-8
+
+#: natural log of the largest float64
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
 
 @dataclass(frozen=True, eq=False)
@@ -29,7 +42,9 @@ class LandscapeResult:
     the projector on the directions the cutoff discarded (zeros if none);
     peak_profile is near_null when it is nonzero and amplitude otherwise;
     soft_com is the peak_profile-weighted mean site (harmonics marginalized
-    out first for extended-space solves).
+    out first for extended-space solves).  spectrum is the factorization of
+    H on the generic route; a gauge-route solve has spectrum None and
+    carries the eigendecomposition of the gauge partner T in gauge_eig.
     Construction validates v_max = max amplitude and, for nondegenerate
     solves with sigma_min > 0, the chain
     v_max <= ||v||_2 <= sqrt(d) / sigma_min^2.
@@ -46,6 +61,7 @@ class LandscapeResult:
     spectrum: Spectrum | None = None
     near_null: np.ndarray = field(default_factory=lambda: np.zeros(0))
     peak_profile: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    gauge_eig: EigResult | None = None
 
     def __post_init__(self):
         if self.amplitude.shape != self.v_complex.shape:
@@ -72,6 +88,10 @@ def solve_landscape(
 ) -> LandscapeResult:
     """Solve H^dag H v = 1 with a spectral cutoff at rcond * sigma_max^2.
 
+    An operator that carries an imaginary gauge (Operator.log_gauge) is
+    solved exactly instead, with nothing discarded and rcond unused: see
+    _solve_gauged.  Every other operator takes the cutoff route below.
+
     The solve runs on one factorization of H itself (linalg.factorize),
     v = V diag(s^-2) V^dag 1 over singular values with s^2 > rcond *
     s_max^2.  Algebraically this is the cutoff pseudoinverse of H^dag H,
@@ -94,6 +114,8 @@ def solve_landscape(
     """
     if not 0.0 < rcond < 1.0:
         raise ValueError(f"rcond must lie in (0, 1), got {rcond}")
+    if op.log_gauge is not None:
+        return _solve_gauged(op, rcond, index_map)
     spectrum = factorize(op)
     sigma = spectrum.sigma
     keep = sigma**2 > rcond * sigma.max() ** 2
@@ -105,15 +127,11 @@ def solve_landscape(
     v = right @ ((right.conj().T @ ones) / sigma[keep] ** 2)
     amplitude = np.abs(v)
     peak = near_null if near_null.any() else amplitude
-    if kept == 0:
-        soft_com = float("nan")
-    else:
-        soft_com = weighted_mean_site(peak if index_map is None else index_map.site_sum(peak))
     return LandscapeResult(
         amplitude=amplitude,
         v_complex=v,
         v_max=float(amplitude.max()),
-        soft_com=soft_com,
+        soft_com=float("nan") if kept == 0 else _soft_com(peak, index_map),
         sigma_min=float(sigma.min()),
         rcond_used=rcond,
         discarded_rank=op.dim - kept,
@@ -121,6 +139,57 @@ def solve_landscape(
         spectrum=spectrum,
         near_null=near_null,
         peak_profile=peak,
+    )
+
+
+def _soft_com(profile: np.ndarray, index_map: SambeIndexMap | None) -> float:
+    return weighted_mean_site(profile if index_map is None else index_map.site_sum(profile))
+
+
+def _solve_gauged(op: Operator, rcond: float, index_map: SambeIndexMap | None) -> LandscapeResult:
+    """Exact landscape of H = D T D^-1 from one eigh of the symmetric T.
+
+    With T = Phi Lambda Phi^T, H^-1 = D T^-1 D^-1 is formed explicitly and
+    A = H^-1 H^-T = (H^dag H)^-1, so v = A 1 is the row sums of A and
+    1 / sigma_min^2 is the largest eigenvalue of A (eigvalsh, values only).
+    Both come from well conditioned steps however small sigma_min is, and
+    nothing is discarded.  The gauge is centred first (v and sigma_min do
+    not depend on a constant shift of it), which gives
+    ||v||_2^2 <= d ||T^-1||^4 exp(4 span) with span = max - min of the
+    gauge.  When that bound leaves the float64 range, or T is numerically
+    singular, the solve raises AccuracyError rather than return inf or
+    noise.
+    """
+    eig = gauge_eigh(op)
+    lam = np.abs(eig.values)
+    lam_min = float(lam.min())  # 1 / ||T^-1||
+    if lam_min <= op.dim * np.finfo(float).eps * lam.max():
+        raise AccuracyError(
+            "the gauge partner T is numerically singular; solve Operator(op.entries) instead"
+        )
+    g = op.log_gauge - 0.5 * (op.log_gauge.max() + op.log_gauge.min())
+    span = float(g.max() - g.min())
+    if math.log(op.dim) + 4.0 * (span - math.log(lam_min)) >= _LOG_FLOAT_MAX:
+        raise AccuracyError(
+            f"gauge span {span:.1f} with min |eig T| = {lam_min:.3g} takes the landscape "
+            "of this operator past the float64 range"
+        )
+    t_inv = (eig.vectors / eig.values) @ eig.vectors.T
+    h_inv = t_inv * np.exp(g[:, None] - g[None, :])
+    a = h_inv @ h_inv.T
+    v = a.sum(axis=1)
+    amplitude = np.abs(v)
+    return LandscapeResult(
+        amplitude=amplitude,
+        v_complex=v,
+        v_max=float(amplitude.max()),
+        soft_com=_soft_com(amplitude, index_map),
+        sigma_min=1.0 / math.sqrt(float(np.linalg.eigvalsh(a)[-1])),
+        rcond_used=rcond,
+        discarded_rank=0,
+        near_null=np.zeros(op.dim),
+        peak_profile=amplitude,
+        gauge_eig=eig,
     )
 
 
@@ -133,11 +202,17 @@ def eigenmode_bound_report(result: LandscapeResult) -> list:
     A value <= 1 confirms the landscape bound for that mode.  Ratios above
     1 are reported, not suppressed: away from the Hermitian elliptic
     setting the bound is an empirical question, and this report is the
-    measurement.
+    measurement.  It needs the right singular vectors of H, which only the
+    generic route has: solve a gauge-carrying operator as
+    Operator(op.entries) to report on it.
     """
     if result.degenerate or result.discarded_rank > 0:
         raise DegenerateInputError(
             "eigenmode bound needs sigma_min above the pseudoinverse cutoff"
+        )
+    if result.spectrum is None:
+        raise DegenerateInputError(
+            "eigenmode bound needs the singular vectors of H; a gauge-route solve has none"
         )
     spectrum = result.spectrum
     report = []

@@ -5,10 +5,11 @@ complex128 otherwise, and the factorizations run in that dtype, so every
 real model goes through real LAPACK.  Everything downstream works with
 small dense matrices (d <~ 10^4), so the kernel stays deliberately simple:
 the one factorization of H that every landscape observable is read from,
-right eigenpairs of a general matrix, the normal operator H^dag H, a
-pseudoinverse solve with an explicit spectral cutoff (the independent
-oracle route), and the weighted mean site shared by the center of mass
-indicators.  All functions are pure; results never share mutable state
+the eigendecomposition of the symmetric gauge partner of an operator that
+carries an imaginary gauge, right eigenpairs of a general matrix, the
+normal operator H^dag H, a pseudoinverse solve with an explicit spectral
+cutoff (the independent oracle route), and the weighted mean site shared
+by the center of mass indicators.  All functions are pure; results never share mutable state
 with the inputs.
 """
 
@@ -30,16 +31,23 @@ HERMITICITY_RTOL = 1e-10
 
 @dataclass(frozen=True, eq=False)
 class Operator:
-    """Square matrix with a provenance label.
+    """Square matrix with a provenance label and an optional imaginary gauge.
 
     Entries are copied to a read-only array that is float64 when every
     entry is exactly real (ints, bools and complex input with an all-zero
     imaginary part included) and complex128 otherwise; non-square or
     non-finite input is rejected at construction time.
+
+    log_gauge, when set, is the log of the diagonal of a gauge D for which
+    T = D^-1 H D is real symmetric, so H = D T D^-1 (Hatano-Nelson chains
+    carry one).  solve_landscape and average_right_density then read H off
+    one eigh of T (gauge_eigh) instead of the SVD and eig_general of H.
+    Only a real H can carry a gauge; Operator(op.entries) drops it.
     """
 
     entries: np.ndarray
     label: str = ""
+    log_gauge: np.ndarray | None = None
 
     def __post_init__(self):
         m = np.asarray(self.entries)
@@ -52,6 +60,14 @@ class Operator:
             raise ValueError("operator entries must be finite")
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)
+        if self.log_gauge is not None:
+            g = np.array(self.log_gauge, dtype=float)
+            if g.shape != (m.shape[0],):
+                raise DimensionError(f"log_gauge has shape {g.shape}, expected ({m.shape[0]},)")
+            if not np.all(np.isfinite(g)) or np.iscomplexobj(m):
+                raise ValueError("log_gauge must be finite and needs real entries")
+            g.setflags(write=False)
+            object.__setattr__(self, "log_gauge", g)
 
     @property
     def dim(self) -> int:
@@ -117,6 +133,28 @@ def factorize(op: Operator) -> Spectrum:
     return Spectrum(sigma=sigma, right=vh.conj().T)
 
 
+def gauge_eigh(op: Operator) -> EigResult:
+    """Eigenpairs of the real symmetric gauge partner T = D^-1 H D of H.
+
+    D = diag(exp(log_gauge)).  T_ij = H_ij exp(g_j - g_i) is formed on the
+    nonzero entries of H only, so no exponential of the whole gauge span is
+    taken, and symmetrized; a gauge that leaves T asymmetric beyond
+    HERMITICITY_RTOL raises HermiticityError.  Values ascend, the vectors
+    phi_k are real and orthonormal, and the right eigenvectors of H are
+    D phi_k with the same eigenvalues.
+    """
+    g = op.log_gauge
+    if g is None:
+        raise ValueError(f"operator {op.label!r} carries no gauge")
+    rows, cols = np.nonzero(op.entries)
+    t = np.zeros_like(op.entries)
+    t[rows, cols] = op.entries[rows, cols] * np.exp(g[cols] - g[rows])
+    if hermiticity_defect(t) > HERMITICITY_RTOL:
+        raise HermiticityError("log_gauge does not symmetrize the operator")
+    values, vectors = np.linalg.eigh(0.5 * (t + t.T))
+    return EigResult(values=values, vectors=vectors)
+
+
 def eig_general(op: Operator) -> EigResult:
     """Right eigenpairs of a general square matrix.
 
@@ -124,7 +162,9 @@ def eig_general(op: Operator) -> EigResult:
     by (Re, Im) of the eigenvalue and each eigenvector is 2-norm
     normalized.  Near-defective inputs are not rejected (the residual
     contract ||H psi - E psi|| <= 1e-8 ||H||_F still holds on a best-effort
-    basis).
+    basis).  This is the route of every operator without a gauge; a
+    gauge-carrying one has exact eigenvectors from gauge_eigh, which
+    average_right_density uses instead.
     """
     values, vectors = np.linalg.eig(op.entries)
     values, vectors = values.astype(complex, copy=False), vectors.astype(complex, copy=False)

@@ -8,6 +8,7 @@ indexed 1..N in all center-of-mass conventions, i.e. array row 0 is site 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,6 +79,14 @@ def hatano_nelson(n_sites: int, t_left: float, t_right: float) -> Operator:
     t_right sits on the subdiagonal (amplitude for hopping j -> j+1) and
     t_left on the superdiagonal; the asymmetry ratio r = t_right / t_left
     drives the boundary accumulation of all right eigenstates.
+
+    For t_left t_right > 0 the chain is H = D T D^-1 with D = diag(r^(j/2))
+    and T the symmetric chain with hopping sqrt(t_left t_right), the
+    imaginary gauge transformation (Hatano & Nelson, PRL 77, 570 (1996)).
+    The operator carries log D as its log_gauge, centred on the middle of
+    the chain so that the two halves are exact mirror images, when n_sites
+    is also even: for odd n_sites T has an exact zero eigenvalue, and the
+    chain stays on the generic route.
     """
     if n_sites < 2:
         raise DimensionError("hatano_nelson needs n_sites >= 2")
@@ -85,7 +94,12 @@ def hatano_nelson(n_sites: int, t_left: float, t_right: float) -> Operator:
     idx = np.arange(n_sites - 1)
     m[idx, idx + 1] = t_left
     m[idx + 1, idx] = t_right
-    return Operator(m, label=f"hatano_nelson(N={n_sites},tL={t_left},tR={t_right})")
+    gauge = None
+    if n_sites % 2 == 0 and t_left * t_right > 0.0:
+        gauge = 0.5 * math.log(t_right / t_left) * (np.arange(n_sites) - 0.5 * (n_sites - 1))
+    return Operator(
+        m, label=f"hatano_nelson(N={n_sites},tL={t_left},tR={t_right})", log_gauge=gauge
+    )
 
 
 def aah_static(n_sites: int, hopping: float, lambda0: float, alpha: float, theta: float = 0.0) -> Operator:

@@ -120,6 +120,48 @@ def open_chain_spectrum(n_sites: int, hopping: float) -> np.ndarray:
     return np.sort(2.0 * hopping * np.cos(k * math.pi / (n_sites + 1)))
 
 
+def _hn_mp_solve(t_left, t_right, rhs: list) -> list:
+    """x with H x = rhs for the even open chain with zero diagonal, in O(N).
+
+    Row i reads t_right x_{i-1} + t_left x_{i+1} = rhs_i, so rows 0, 2, ...
+    fix the odd entries of x from the left end and rows N-1, N-3, ... fix
+    the even entries from the right end.
+    """
+    n = len(rhs)
+    x = [0] * n
+    x[1] = rhs[0] / t_left
+    for i in range(2, n - 1, 2):
+        x[i + 1] = (rhs[i] - t_right * x[i - 1]) / t_left
+    x[n - 2] = rhs[n - 1] / t_right
+    for i in range(n - 3, 0, -2):
+        x[i - 1] = (rhs[i] - t_left * x[i + 1]) / t_right
+    return x
+
+
+def hatano_nelson_mp_reference(n_sites: int, t_left: float, t_right: float, dps: int = 60):
+    """(v_max, sigma_min) of the Hatano-Nelson chain from dps-digit solves.
+
+    v = H^-1 H^-T 1 takes two solves; H^-1 takes one solve per column and is
+    rounded to float64, whose largest singular value (relatively accurate)
+    gives sigma_min = 1 / ||H^-1||_2.
+    """
+    import mpmath
+
+    if n_sites % 2:
+        raise ValueError("the recursion needs an even chain")
+    with mpmath.workdps(dps):
+        tl, tr = mpmath.mpf(t_left), mpmath.mpf(t_right)
+        zero, one = mpmath.mpf(0), mpmath.mpf(1)
+        v = _hn_mp_solve(tl, tr, _hn_mp_solve(tr, tl, [one] * n_sites))
+        v_max = float(max(abs(x) for x in v))
+        h_inv = np.empty((n_sites, n_sites))
+        for j in range(n_sites):
+            unit = [zero] * n_sites
+            unit[j] = one
+            h_inv[:, j] = [float(x) for x in _hn_mp_solve(tl, tr, unit)]
+    return v_max, 1.0 / float(np.linalg.norm(h_inv, 2))
+
+
 def sambe_entry_oracle(h0: np.ndarray, blocks: dict, omegas, truncations) -> np.ndarray:
     """Extended-space matrix written out entry by entry.
 

@@ -2,6 +2,8 @@ import csv
 import json
 import math
 import os
+import subprocess
+import sys
 from itertools import groupby
 from operator import itemgetter
 
@@ -18,11 +20,13 @@ from locland.experiments import (
     SCHEMAS,
     RunConfig,
     _aah_point,
-    _pool_size,
+    _hn_point,
     run_bbh,
     run_cdt_duo,
     run_ssh,
 )
+
+from oracles import hatano_nelson_mp_reference
 
 
 def run_cli(args):
@@ -123,6 +127,13 @@ class TestCliExitCodes:
         code = run_cli(["hn", "--out", str(tmp_path), "--workers", "0"])
         assert code == 2
         assert "--workers" in capsys.readouterr().err
+
+    def test_hn_gauge_overflow_exits_3(self, tmp_path, capsys):
+        # N |ln r| = 1821 at r = 9e3: the exact landscape is past the float64 range
+        args = ["n_sites=200", "r_min=9e3", "r_max=1e4", "r_count=2"]
+        code = run_cli(["hn", "--out", str(tmp_path)] + [x for a in args for x in ("--set", a)])
+        assert code == 3
+        assert "float64" in capsys.readouterr().err
 
     def test_failed_checks_exit_3(self, tmp_path, capsys):
         # gamma = lam closes the gap: no four-mode corner structure
@@ -277,15 +288,18 @@ class TestEndToEnd:
         assert written == len(range(0, n_steps + 1, p["traj_stride"]))
 
     def test_hn_discarded_rank_column(self, tmp_path):
-        # at N = 200, r = 1.3 the skin direction has sigma_min^2 / sigma_max^2
-        # = 8.7e-25, under the cutoff; the reciprocal chain r = 1 keeps all
+        # at N = 200, r = 1.3 sigma_min^2 / sigma_max^2 = 8.7e-25, under the
+        # rcond = 1e-24 cutoff of the generic route; the gauge route keeps
+        # every direction and reports the exact blow-up
+        pytest.importorskip("mpmath")
         out = tmp_path / "hn"
         args = ["n_sites=200", "r_min=1.0", "r_max=1.3", "r_count=2", "rcond=1e-24"]
         assert run_cli(["hn", "--out", str(out)] + [x for a in args for x in ("--set", a)]) == 0
         rows = list(csv.DictReader(open(out / "report.csv")))
         assert [row["r"] for row in rows] == ["1", "1.3"]
-        assert rows[0]["discarded_rank"] == "0"
-        assert int(rows[1]["discarded_rank"]) > 0
+        assert [row["discarded_rank"] for row in rows] == ["0", "0"]
+        v_max, _ = hatano_nelson_mp_reference(200, 1.0, 1.3)
+        assert float(rows[1]["v_max_tot"]) == pytest.approx(v_max, rel=1e-12)
 
     def test_aah_small(self, tmp_path):
         out = tmp_path / "aah"
@@ -360,13 +374,25 @@ class TestEndToEnd:
             for name, result in meta["results"].items():
                 assert result["passed"] is not False, (model, name, result)
 
-    def test_workers_reproduce_serial(self, tmp_path):
+    def test_workers_flag_accepted_and_ignored(self, tmp_path):
         serial = tmp_path / "serial"
-        parallel = tmp_path / "parallel"
+        ignored = tmp_path / "ignored"
         base = ["--set", "n_sites=24", "--set", "r_count=6"]
         assert run_cli(["hn", "--out", str(serial)] + base) == 0
-        assert run_cli(["hn", "--out", str(parallel), "--workers", "2"] + base) == 0
-        assert (serial / "report.csv").read_bytes() == (parallel / "report.csv").read_bytes()
+        assert run_cli(["hn", "--out", str(ignored), "--workers", "2"] + base) == 0
+        assert (serial / "report.csv").read_bytes() == (ignored / "report.csv").read_bytes()
+
+    def test_cli_imports_no_process_pool(self):
+        # grids run serially, so the CLI never pays for importing a pool
+        code = (
+            "import sys, locland.cli; "
+            "print([m for m in sys.modules if m.startswith(('multiprocessing', 'concurrent'))])"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+        )
+        assert out.stdout.strip() == "[]"
 
     def test_manifest_contents(self, tmp_path):
         out = tmp_path / "m"
@@ -383,17 +409,6 @@ class TestEndToEnd:
             "OMP_NUM_THREADS": os.environ.get("OMP_NUM_THREADS"),
         }
         assert manifest["peak_rss_mib"] > 0.0
-
-
-class TestGridMap:
-    def test_pool_size_clamped_to_cores_and_items(self, monkeypatch):
-        # arithmetic only: no pool is started
-        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
-        assert _pool_size(1000, 50) == 2
-        assert _pool_size(8, 1) == 1
-        assert _pool_size(1, 50) == 1
-        monkeypatch.setattr(experiments.os, "cpu_count", lambda: None)
-        assert _pool_size(4, 50) == 1
 
 
 class TestOneFactorization:
@@ -424,6 +439,13 @@ class TestOneFactorization:
     def test_bbh_one(self, calls, tmp_path):
         run_bbh(self.default_config("bbh", tmp_path))
         assert calls == [("eigh", np.float64)]
+
+    def test_hn_point_one_eigh(self, calls):
+        # eigh of the gauge partner T, then the largest eigenvalue of
+        # (H^dag H)^-1 for sigma_min; no SVD and no general eigensolver
+        point = _hn_point(1.3, n_sites=200, t_left=1.0, rcond=1e-24)
+        assert calls == [("eigh", np.float64), ("eigvalsh", np.float64)]
+        assert point["discarded_rank"] == 0
 
     def test_aah_point_one_eigh(self, calls):
         _aah_point(

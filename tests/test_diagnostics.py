@@ -18,6 +18,7 @@ from locland import (
     detect_peaks,
     floquet_dos,
     fold_quasienergy,
+    gauge_eigh,
     hatano_nelson,
     midgap_report,
     pearson,
@@ -46,6 +47,21 @@ class TestAverageRightDensity:
     def test_normalization(self, rng):
         dens = average_right_density(Operator(random_complex(rng, 17)))
         assert abs(dens.sum() - 1.0) < 1e-12
+
+    def test_gauge_density_cannot_overflow(self):
+        # D^2 spans exp(916) here, past float64; rescaled by its maximum D
+        # cannot overflow, and the skin modes pile up on the right edge
+        dens = average_right_density(hatano_nelson(200, 1.0, 1e4))
+        assert np.all(np.isfinite(dens)) and abs(dens.sum() - 1.0) < 1e-12
+        assert int(np.argmax(dens)) + 1 == 200
+
+    def test_gauge_eigenvectors_are_right_eigenvectors(self):
+        chain = hatano_nelson(12, 1.0, 0.6)
+        eig = gauge_eigh(chain)
+        psi = np.exp(chain.log_gauge)[:, None] * eig.vectors
+        residual = chain.entries @ psi - psi * eig.values
+        assert np.abs(residual).max() <= 1e-13 * np.abs(psi).max()
+        assert np.array_equal(average_right_density(chain), average_right_density(chain, eig))
 
 
 class TestCenters:

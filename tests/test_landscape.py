@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from locland import (
     AccuracyError,
     DegenerateInputError,
+    HermiticityError,
     LandscapeResult,
     Operator,
     SambeIndexMap,
@@ -22,6 +25,7 @@ from locland import (
 from locland.linalg import weighted_mean_site
 
 from conftest import random_complex, random_hermitian_pd
+from oracles import hatano_nelson_mp_reference
 
 
 def anderson_type_chain(rng, n_sites, hopping=0.5):
@@ -63,9 +67,10 @@ class TestSolveLandscape:
 
     @pytest.mark.parametrize("r", [0.7, 1.3])
     def test_discarded_skin_direction_keeps_center_at_edge(self, r):
-        # at N = 200 the skin singular value falls under rcond = 1e-24 and is
-        # discarded; the center follows the discarded direction, not mid-chain
-        op = hatano_nelson(200, 1.0, r)
+        # on the generic route at N = 200 the skin singular value falls under
+        # rcond = 1e-24 and is discarded; the center follows the discarded
+        # direction, not mid-chain
+        op = Operator(hatano_nelson(200, 1.0, r).entries)
         res = solve_landscape(op, rcond=1e-24)
         assert res.discarded_rank >= 1
         edge = int(np.argmax(average_right_density(op))) + 1
@@ -157,7 +162,8 @@ class TestEigenmodeBoundReport:
             assert ratio <= 1.0 + 1e-8
 
     def test_skin_chain_report_generated(self):
-        report = eigenmode_bound_report(solve_landscape(hatano_nelson(60, 1.0, 0.8), rcond=1e-30))
+        chain = Operator(hatano_nelson(60, 1.0, 0.8).entries)
+        report = eigenmode_bound_report(solve_landscape(chain, rcond=1e-30))
         assert len(report) == 60
         ratios = np.array([r for _, r in report])
         assert np.all(np.isfinite(ratios)) and np.all(ratios > 0.0)
@@ -165,6 +171,10 @@ class TestEigenmodeBoundReport:
     def test_degenerate_raises(self):
         with pytest.raises(DegenerateInputError):
             eigenmode_bound_report(solve_landscape(Operator(np.diag([1.0, 0.0]))))
+
+    def test_gauge_route_has_no_singular_vectors(self):
+        with pytest.raises(DegenerateInputError, match="singular vectors"):
+            eigenmode_bound_report(solve_landscape(hatano_nelson(20, 1.0, 0.8)))
 
 
 class TestLandscapeInvariants:
@@ -220,3 +230,102 @@ class TestLandscapeInvariants:
         for eps in (1e-2, 1e-3, 1e-4):
             res = solve_landscape(Operator(np.diag([eps] + [1.0] * 7)))
             assert res.v_max * eps**2 == pytest.approx(1.0, rel=1e-9)
+
+
+@pytest.fixture(scope="module")
+def mp_references():
+    pytest.importorskip("mpmath")
+    points = ((120, 1.3), (200, 1.3), (200, 0.7))
+    return {point: hatano_nelson_mp_reference(point[0], 1.0, point[1]) for point in points}
+
+
+class TestGaugeRoute:
+    """Hatano-Nelson chains with a gauge are solved exactly from one eigh of T."""
+
+    @pytest.mark.parametrize("n_sites, r", [(120, 1.3), (200, 1.3), (200, 0.7)])
+    def test_matches_extended_precision(self, mp_references, n_sites, r):
+        # sigma_min / sigma_max reaches 3.4e-8, 9.3e-13 and 9.7e-17 here
+        v_max, sigma_min = mp_references[n_sites, r]
+        res = solve_landscape(hatano_nelson(n_sites, 1.0, r), rcond=1e-24)
+        assert res.discarded_rank == 0 and res.spectrum is None
+        assert res.v_max == pytest.approx(v_max, rel=1e-12)
+        assert res.sigma_min == pytest.approx(sigma_min, rel=1e-12)
+
+    @pytest.mark.parametrize("r", [0.8, 0.9, 1.1])
+    def test_agrees_with_generic_route(self, r):
+        chain = hatano_nelson(40, 1.0, r)
+        plain = Operator(chain.entries)
+        assert chain.log_gauge is not None and plain.log_gauge is None
+        gauged, generic = solve_landscape(chain), solve_landscape(plain)
+        assert generic.discarded_rank == 0
+        assert np.abs(gauged.v_complex - generic.v_complex).max() <= 1e-10 * generic.v_max
+        assert gauged.sigma_min == pytest.approx(generic.sigma_min, rel=1e-10)
+        dens, dens_ref = average_right_density(chain), average_right_density(plain)
+        assert np.abs(dens - dens_ref).max() <= 1e-10 * dens_ref.max()
+
+    @pytest.mark.parametrize(
+        "n_sites, t_left, t_right", [(21, 1.0, 0.8), (20, 1.0, -0.5), (20, 1.0, 0.0)]
+    )
+    def test_chains_without_gauge_take_generic_route(self, n_sites, t_left, t_right):
+        # odd N leaves T exactly singular; t_L t_R <= 0 has no real gauge
+        chain = hatano_nelson(n_sites, t_left, t_right)
+        assert chain.log_gauge is None
+        res = solve_landscape(chain, rcond=1e-24)
+        ref = solve_landscape(Operator(chain.entries), rcond=1e-24)
+        assert np.array_equal(res.v_complex, ref.v_complex)
+        assert res.sigma_min == ref.sigma_min and res.spectrum is not None
+
+    def test_gauge_span_past_float64_raises(self):
+        # N |ln r| = 1842: v_max would be about exp(1842)
+        with pytest.raises(AccuracyError, match="float64"):
+            solve_landscape(hatano_nelson(200, 1.0, 1e4))
+
+    def test_singular_gauge_partner_raises(self):
+        # an odd chain's partner T has an exact zero eigenvalue
+        m = hatano_nelson(5, 1.0, 0.5).entries
+        gauge = 0.5 * math.log(0.5) * np.arange(5)
+        with pytest.raises(AccuracyError, match="singular"):
+            solve_landscape(Operator(m, log_gauge=gauge))
+
+    def test_gauge_must_symmetrize(self):
+        m = hatano_nelson(6, 1.0, 0.5).entries
+        with pytest.raises(HermiticityError):
+            solve_landscape(Operator(m, log_gauge=np.zeros(6)))
+        with pytest.raises(ValueError):
+            Operator(m, log_gauge=np.zeros(5))
+        with pytest.raises(ValueError):
+            Operator(m + 1j * np.eye(6), log_gauge=np.zeros(6))
+
+
+class TestNormChainProperty:
+    """v_max <= ||v||_2 <= sqrt(d) / sigma_min^2 on both routes."""
+
+    @staticmethod
+    def assert_chain(res, d):
+        l2 = float(np.linalg.norm(res.v_complex))
+        assert res.v_max <= l2 * (1.0 + 1e-12)
+        assert l2 <= math.sqrt(d) / res.sigma_min**2 * (1.0 + 1e-10)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_random_general_operators(self, data):
+        d = data.draw(st.integers(1, 30), label="d")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        m = rng.normal(size=(d, d))
+        if data.draw(st.booleans(), label="complex"):
+            m = m + 1j * rng.normal(size=(d, d))
+        self.assert_chain(solve_landscape(Operator(m), rcond=1e-24), d)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        half=st.integers(1, 60),
+        t_left=st.floats(0.2, 3.0),
+        r=st.floats(0.5, 2.0),
+        sign=st.sampled_from([1.0, -1.0]),
+    )
+    def test_gauge_carrying_chains(self, half, t_left, r, sign):
+        chain = hatano_nelson(2 * half, sign * t_left, sign * r * t_left)
+        assert chain.log_gauge is not None
+        res = solve_landscape(chain)
+        assert res.discarded_rank == 0
+        self.assert_chain(res, chain.dim)

@@ -12,6 +12,7 @@ from locland import (
     bbh,
     bbh_site_coords,
     domain_wall_site,
+    gauge_eigh,
     hatano_nelson,
     ssh,
     two_level_drive_duo,
@@ -48,6 +49,24 @@ class TestHatanoNelson:
             expected = open_chain_spectrum(12, math.sqrt(t_left * t_right))
             assert np.abs(np.sort(eigs.real) - expected).max() < 1e-8
             assert np.abs(eigs.imag).max() < 1e-8
+
+    @pytest.mark.parametrize("t_left, t_right", [(1.0, 0.9), (1.0, 0.25), (-0.7, -1.2)])
+    def test_gauge_partner_is_the_symmetric_chain(self, t_left, t_right):
+        # D^-1 H D with D = diag(exp(log_gauge)) is the chain with hopping
+        # sqrt(t_L t_R), and the gauge is centred: log_gauge reverses to -log_gauge
+        op = hatano_nelson(12, t_left, t_right)
+        d = np.exp(op.log_gauge)
+        partner = op.entries * d[None, :] / d[:, None]
+        assert np.abs(partner - partner.T).max() < 1e-14
+        hopping = math.copysign(math.sqrt(t_left * t_right), t_left)
+        assert np.abs(partner[0, 1] - hopping) < 1e-14
+        assert np.array_equal(op.log_gauge[::-1], -op.log_gauge)
+        expected = open_chain_spectrum(12, math.sqrt(t_left * t_right))
+        assert np.abs(gauge_eigh(op).values - expected).max() < 1e-13
+
+    @pytest.mark.parametrize("n_sites, t_right", [(13, 0.9), (12, -0.9), (12, 0.0)])
+    def test_no_gauge_for_odd_or_sign_changing_chains(self, n_sites, t_right):
+        assert hatano_nelson(n_sites, 1.0, t_right).log_gauge is None
 
     def test_fig1_parameters_construct(self):
         op = hatano_nelson(120, 1.0, 0.9)
