@@ -7,8 +7,8 @@ manifest.json carrying the fully resolved configuration, library versions,
 host setup (cores, BLAS thread variables), wall time and peak RSS;
 re-running from the manifest reproduces the CSV outputs byte for byte.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical-contract
-violation, 4 I/O error.
+Exit codes: 0 success, 2 configuration error (unknown key, unparsable or
+out-of-range value), 3 numerical-contract violation, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -32,12 +32,6 @@ def _cast_value(key: str, raw, caster):
     if isinstance(raw, str):
         text = raw.strip()
         try:
-            if caster is bool:
-                if text.lower() in ("true", "1", "yes"):
-                    return True
-                if text.lower() in ("false", "0", "no"):
-                    return False
-                raise ValueError(text)
             return caster(text)
         except ValueError as exc:
             raise ConfigError(f"key {key!r}: cannot parse {raw!r} as {caster.__name__}") from exc
@@ -173,13 +167,17 @@ def main(argv=None) -> int:
     try:
         config = resolve_config(args.experiment, args)
         config.out_dir.mkdir(parents=True, exist_ok=True)
-        before = set(config.out_dir.iterdir())
+        # outputs are the entries this run created or rewrote, so a rerun
+        # into the same directory records them too
+        before = {p.name: p.stat().st_mtime_ns for p in config.out_dir.iterdir()}
         start = time.perf_counter()
         report = RUNNERS[config.experiment](config)
         report.to_csv(config.out_dir / "report.csv")
         report.to_json(config.out_dir / "report.json")
         wall = time.perf_counter() - start
-        outputs = [p.name for p in set(config.out_dir.iterdir()) - before]
+        outputs = [
+            p.name for p in config.out_dir.iterdir() if before.get(p.name) != p.stat().st_mtime_ns
+        ]
         _write_manifest(config, wall, outputs)
         if report.metadata.get("all_checks_pass") is False:
             print("numerical checks failed:", file=sys.stderr)
@@ -187,7 +185,10 @@ def main(argv=None) -> int:
                 print(f"  {name}: {'pass' if ok else 'FAIL'}", file=sys.stderr)
             return 3
         return 0
-    except ConfigError as exc:
+    except ValueError as exc:
+        # ConfigError and every input error of the models and solvers
+        # (DimensionError, out-of-range rcond or truncation, ...) derive
+        # from ValueError
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except AccuracyError as exc:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -61,7 +60,6 @@ SQRT2 = math.sqrt(2.0)
 class Field:
     cast: type
     default: object
-    help: str = ""
 
 
 @dataclass
@@ -162,9 +160,27 @@ SCHEMAS = {
 }
 
 
-def _grid_map(fn, items) -> list:
-    """Map fn over grid points, one after another in grid order."""
-    return [fn(item) for item in items]
+def _grid_map(fn, items) -> dict:
+    """Map fn over grid points in grid order and stack the point dicts.
+
+    The table holds one array per key of the point dicts, its first axis
+    running over the grid points.
+    """
+    points = [fn(item) for item in items]
+    return {key: np.array([pt[key] for pt in points]) for key in points[0]}
+
+
+def _report_columns(table: dict, *names) -> dict:
+    """Report columns of a swept experiment, picked by name from its grid table.
+
+    v_max_tot, its log10 and sigma_min lead, the named columns follow, and
+    the row's numerical health closes: discarded_rank, then
+    edge_sector_weight where the table has it (Sambe lifts).
+    """
+    vmax = table["v_max_tot"]
+    head = {"v_max_tot": vmax, "log10_vmax": np.log10(vmax), "sigma_min": table["sigma_min"]}
+    health = [n for n in ("discarded_rank", "edge_sector_weight") if n in table]
+    return {**head, **{n: table[n] for n in (*names, *health)}}
 
 
 def _write_profile_csv(path: Path, header: list, columns: list) -> None:
@@ -189,9 +205,9 @@ def _local_minima(series: np.ndarray, grid: np.ndarray) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _hn_point(r: float, n_sites: int, t_left: float, rcond: float) -> dict:
-    op = hatano_nelson(n_sites, t_left, r * t_left)
-    res = solve_landscape(op, rcond)
+def _hn_point(r: float, p: dict) -> dict:
+    op = hatano_nelson(p["n_sites"], p["t_left"], r * p["t_left"])
+    res = solve_landscape(op, p["rcond"])
     density = average_right_density(op, res.gauge_eig)
     return {
         "v_max_tot": res.v_max,
@@ -207,29 +223,19 @@ def _hn_point(r: float, n_sites: int, t_left: float, rcond: float) -> dict:
 def run_hn(config: RunConfig) -> SweepReport:
     p = config.params
     rs = np.linspace(p["r_min"], p["r_max"], p["r_count"])
-    fn = partial(_hn_point, n_sites=p["n_sites"], t_left=p["t_left"], rcond=p["rcond"])
-    points = _grid_map(fn, rs)
-    for r, point in ((rs[0], points[0]), (rs[-1], points[-1])):
-        sites = np.arange(1, p["n_sites"] + 1)
-        dens, amp = point["density"], point["amplitude"]
+    table = _grid_map(lambda r: _hn_point(r, p), rs)
+    sites = np.arange(1, p["n_sites"] + 1)
+    for k in (0, -1):
+        r, dens, amp = rs[k], table["density"][k], table["amplitude"][k]
         _write_profile_csv(
             config.out_dir / f"profile_r{r:.2f}.csv",
             ["site", "avg_density", "avg_density_norm", "landscape_amp", "landscape_norm"],
             [sites, dens, dens / dens.max(), amp, amp / amp.max()],
         )
-    soft = np.array([pt["soft_com"] for pt in points])
-    xcm = np.array([pt["x_cm"] for pt in points])
-    vmax = np.array([pt["v_max_tot"] for pt in points])
+    soft, xcm = table["soft_com"], table["x_cm"]
     return SweepReport(
         axes={"r": rs},
-        columns={
-            "v_max_tot": vmax,
-            "log10_vmax": np.log10(vmax),
-            "sigma_min": np.array([pt["sigma_min"] for pt in points]),
-            "soft_com": soft,
-            "x_cm": xcm,
-            "discarded_rank": np.array([pt["discarded_rank"] for pt in points]),
-        },
+        columns=_report_columns(table, "soft_com", "x_cm"),
         metadata={
             "experiment": "hn",
             "pearson_soft_com_x_cm": pearson(soft, xcm),
@@ -243,41 +249,36 @@ def run_hn(config: RunConfig) -> SweepReport:
 # ---------------------------------------------------------------------------
 
 
-def _sambe_columns(lifted, res) -> dict:
-    """Report columns shared by every Sambe-lifted grid point."""
+def _sambe_point(h0, drive, omegas, truncations, rcond) -> tuple:
+    """Build and solve one Sambe lift: the columns every lifted point reports, and the solve."""
+    lifted = build_sambe(h0, drive, omegas, truncations)
+    res = solve_landscape(lifted.matrix, rcond, index_map=lifted.index_map)
     return {
         "v_max_tot": res.v_max,
         "sigma_min": res.sigma_min,
         "discarded_rank": res.discarded_rank,
         "edge_sector_weight": lifted.index_map.edge_sector_weight(res.amplitude),
-    }
+    }, res
 
 
-def _cdt_mono_point(u: float, j_coupling: float, omega: float, truncation: int, rcond: float) -> dict:
-    h0 = two_level_static(j_coupling)
-    lifted = build_sambe(h0, two_level_drive_mono(u * omega), (omega,), (truncation,))
-    return _sambe_columns(lifted, solve_landscape(lifted.matrix, rcond))
+def _cdt_mono_point(u: float, p: dict) -> dict:
+    h0, omega = two_level_static(p["j_coupling"]), p["omega"]
+    drive = two_level_drive_mono(u * omega)
+    return _sambe_point(h0, drive, (omega,), (p["truncation"],), p["rcond"])[0]
 
 
 def run_cdt_mono(config: RunConfig) -> SweepReport:
     p = config.params
     us = np.linspace(p["amp_min"], p["amp_max"], p["amp_count"])
     omega = p["omega"]
-    fn = partial(
-        _cdt_mono_point,
-        j_coupling=p["j_coupling"],
-        omega=omega,
-        truncation=p["truncation"],
-        rcond=p["rcond"],
-    )
-    points = _grid_map(fn, us)
-    vmax = np.array([pt["v_max_tot"] for pt in points])
-    log_vmax = np.log10(vmax)
+    table = _grid_map(lambda u: _cdt_mono_point(u, p), us)
     dt = 2.0 * math.pi / omega / p["steps_per_period"]
     eps, unitarity_defect = monodromy_quasienergies_sweep(
         p["j_coupling"], us * omega, omega, dt, with_defect=True
     )
-    gap = np.array([quasienergy_gap(pair, omega) for pair in eps])
+    gap = table["quasienergy_gap"] = np.array([quasienergy_gap(pair, omega) for pair in eps])
+    columns = _report_columns(table, "quasienergy_gap")
+    log_vmax = columns["log10_vmax"]
 
     peaks = detect_peaks(log_vmax, us, p["prominence"])
     gap_minima = _local_minima(gap, us)
@@ -296,14 +297,7 @@ def run_cdt_mono(config: RunConfig) -> SweepReport:
     )
     return SweepReport(
         axes={"a_over_omega": us},
-        columns={
-            "v_max_tot": vmax,
-            "log10_vmax": log_vmax,
-            "sigma_min": np.array([pt["sigma_min"] for pt in points]),
-            "quasienergy_gap": gap,
-            "discarded_rank": np.array([pt["discarded_rank"] for pt in points]),
-            "edge_sector_weight": np.array([pt["edge_sector_weight"] for pt in points]),
-        },
+        columns=columns,
         metadata={
             "experiment": "cdt-mono",
             "omega": omega,
@@ -320,12 +314,12 @@ def run_cdt_mono(config: RunConfig) -> SweepReport:
 # ---------------------------------------------------------------------------
 
 
-def _cdt_duo_point(pair, j_coupling, omega1, omega2, m1, m2, rcond) -> dict:
+def _cdt_duo_point(pair, p: dict) -> dict:
     a_u, b_u = pair
-    h0 = two_level_static(j_coupling)
+    h0, omega1 = two_level_static(p["j_coupling"]), p["omega1"]
     drive = two_level_drive_duo(a_u * omega1, b_u * omega1)
-    lifted = build_sambe(h0, drive, (omega1, omega2), (m1, m2))
-    return _sambe_columns(lifted, solve_landscape(lifted.matrix, rcond))
+    omegas = (omega1, p["omega2_ratio"] * omega1)
+    return _sambe_point(h0, drive, omegas, (p["truncation1"], p["truncation2"]), p["rcond"])[0]
 
 
 #: partially left-localized initial state used in the trajectory panels
@@ -343,18 +337,8 @@ def run_cdt_duo(config: RunConfig) -> SweepReport:
     a_us = np.linspace(p["amp_min"], p["amp_max"], p["a_count"])
     b_us = np.linspace(p["amp_min"], p["amp_max"], p["b_count"])
     grid_pairs = [(a, b) for a in a_us for b in b_us]
-    fn = partial(
-        _cdt_duo_point,
-        j_coupling=p["j_coupling"],
-        omega1=omega1,
-        omega2=omega2,
-        m1=p["truncation1"],
-        m2=p["truncation2"],
-        rcond=p["rcond"],
-    )
-    points = _grid_map(fn, grid_pairs)
-    vmax = np.array([pt["v_max_tot"] for pt in points])
-    log_vmax = np.log10(vmax)
+    table = _grid_map(lambda pair: _cdt_duo_point(pair, p), grid_pairs)
+    vmax = table["v_max_tot"]
 
     dt = 2.0 * math.pi / omega2 / p["steps_per_period"]
     amp_pairs = np.array(grid_pairs) * omega1
@@ -364,23 +348,16 @@ def run_cdt_duo(config: RunConfig) -> SweepReport:
     )
     if grid_drift > NORM_DRIFT_LIMIT:
         raise AccuracyError(f"min_PL grid drifts from unit norm by {grid_drift:.2e}; reduce dt")
+    table["min_PL"] = min_pl
+    columns = _report_columns(table, "min_PL")
+    log_vmax = columns["log10_vmax"]
 
     # exact reduction: the B = 0 sweep with no second harmonic sector is the
     # monochromatic operator re-indexed, so v_max must match to roundoff
-    mono = np.array(
-        [
-            _cdt_mono_point(a, p["j_coupling"], omega1, p["truncation1"], p["rcond"])["v_max_tot"]
-            for a in a_us
-        ]
-    )
-    duo_b0 = np.array(
-        [
-            _cdt_duo_point((a, 0.0), p["j_coupling"], omega1, omega2, p["truncation1"], 0, p["rcond"])[
-                "v_max_tot"
-            ]
-            for a in a_us
-        ]
-    )
+    mono_p = {**p, "omega": omega1, "truncation": p["truncation1"]}
+    mono = np.array([_cdt_mono_point(a, mono_p)["v_max_tot"] for a in a_us])
+    b0_p = {**p, "truncation2": 0}
+    duo_b0 = np.array([_cdt_duo_point((a, 0.0), b0_p)["v_max_tot"] for a in a_us])
     reduction_diff = float(np.abs(duo_b0 - mono).max() / np.abs(mono).max())
     b0_row = vmax.reshape(p["a_count"], p["b_count"])[:, 0]
     full_row_diff = float(np.abs(b0_row - mono).max() / np.abs(mono).max())
@@ -422,14 +399,7 @@ def run_cdt_duo(config: RunConfig) -> SweepReport:
 
     return SweepReport(
         axes={"a_over_omega1": a_us, "b_over_omega1": b_us},
-        columns={
-            "v_max_tot": vmax,
-            "log10_vmax": log_vmax,
-            "sigma_min": np.array([pt["sigma_min"] for pt in points]),
-            "min_PL": min_pl,
-            "discarded_rank": np.array([pt["discarded_rank"] for pt in points]),
-            "edge_sector_weight": np.array([pt["edge_sector_weight"] for pt in points]),
-        },
+        columns=columns,
         metadata={
             "experiment": "cdt-duo",
             "omega1": omega1,
@@ -458,15 +428,15 @@ def run_cdt_duo(config: RunConfig) -> SweepReport:
 DOS_NORM_LIMIT = 1e-12
 
 
-def _aah_point(omega, n_sites, hopping, lambda0, amplitude, alpha, theta, truncation, bin_width, rcond):
-    h0 = aah_static(n_sites, hopping, lambda0, alpha, theta)
-    drive = aah_drive(n_sites, amplitude, alpha, theta)
-    lifted = build_sambe(h0, drive, (omega,), (truncation,))
-    res = solve_landscape(lifted.matrix, rcond, index_map=lifted.index_map)
+def _aah_point(omega: float, p: dict) -> dict:
+    n, alpha, theta = p["n_sites"], p["alpha"], p["theta"]
+    h0 = aah_static(n, p["hopping"], p["lambda0"], alpha, theta)
+    drive = aah_drive(n, p["amplitude"], alpha, theta)
+    columns, res = _sambe_point(h0, drive, (omega,), (p["truncation"],), p["rcond"])
     ipr = (np.abs(res.spectrum.right) ** 4).sum(axis=0)
-    centers, density = floquet_dos(res.spectrum.energies, omega, bin_width)
+    centers, density = floquet_dos(res.spectrum.energies, omega, p["bin_width"])
     return {
-        **_sambe_columns(lifted, res),
+        **columns,
         "soft_com": res.soft_com,
         "ipr_mean": float(ipr.mean()),
         "ipr_max": float(ipr.max()),
@@ -478,45 +448,20 @@ def _aah_point(omega, n_sites, hopping, lambda0, amplitude, alpha, theta, trunca
 def run_aah(config: RunConfig) -> SweepReport:
     p = config.params
     omegas = np.linspace(p["omega_min"], p["omega_max"], p["omega_count"])
-    fn = partial(
-        _aah_point,
-        n_sites=p["n_sites"],
-        hopping=p["hopping"],
-        lambda0=p["lambda0"],
-        amplitude=p["amplitude"],
-        alpha=p["alpha"],
-        theta=p["theta"],
-        truncation=p["truncation"],
-        bin_width=p["bin_width"],
-        rcond=p["rcond"],
-    )
-    points = _grid_map(fn, omegas)
-    centers = points[0]["dos_centers"]
-    _write_profile_csv(
-        config.out_dir / "dos_grid.csv",
-        ["x"] + [f"omega={w:.6g}" for w in omegas],
-        [centers] + [pt["dos_density"] for pt in points],
-    )
+    table = _grid_map(lambda omega: _aah_point(omega, p), omegas)
+    centers, dos = table["dos_centers"][0], table["dos_density"]
+    header = ["x"] + [f"omega={w:.6g}" for w in omegas]
+    _write_profile_csv(config.out_dir / "dos_grid.csv", header, [centers, *dos])
     # uniform bins tile [-1/2, 1/2), so each bin is 1 / n_bins wide
-    dos = np.array([pt["dos_density"] for pt in points])
     dos_error = float(np.abs(dos.sum(axis=1) / centers.size - 1.0).max())
     if dos_error > DOS_NORM_LIMIT:
         raise AccuracyError(f"a Floquet DOS column integrates to 1 only within {dos_error:.2e}")
-    vmax = np.array([pt["v_max_tot"] for pt in points])
+    vmax = table["v_max_tot"]
     low = vmax[omegas <= 4.0]
     high = vmax[omegas >= 8.0]
     return SweepReport(
         axes={"omega": omegas},
-        columns={
-            "v_max_tot": vmax,
-            "log10_vmax": np.log10(vmax),
-            "sigma_min": np.array([pt["sigma_min"] for pt in points]),
-            "soft_com": np.array([pt["soft_com"] for pt in points]),
-            "ipr_mean": np.array([pt["ipr_mean"] for pt in points]),
-            "ipr_max": np.array([pt["ipr_max"] for pt in points]),
-            "discarded_rank": np.array([pt["discarded_rank"] for pt in points]),
-            "edge_sector_weight": np.array([pt["edge_sector_weight"] for pt in points]),
-        },
+        columns=_report_columns(table, "soft_com", "ipr_mean", "ipr_max"),
         metadata={
             "experiment": "aah",
             "max_dos_norm_error": dos_error,
@@ -600,15 +545,13 @@ def run_ssh(config: RunConfig) -> SweepReport:
             "sigma_min": np.array([r.landscape.sigma_min for r in rows]),
             "v_max_tot": np.array([r.landscape.v_max for r in rows]),
             "landscape_argmax_site": np.array([float(r.landscape_argmax_site) for r in rows]),
+            "discarded_rank": np.array([r.landscape.discarded_rank for r in rows]),
         },
         metadata={
             "experiment": "ssh",
             "variants": list(variants),
             "wall_site": wall,
             "sigma_ratio_trivial_over_topological": float(sigma_ratio),
-            "near_null_peak_used": {
-                v: bool(r.landscape.discarded_rank > 0) for v, r in reports.items()
-            },
             "checks": checks,
             "all_checks_pass": bool(all(checks.values())),
         },
@@ -661,6 +604,7 @@ def run_bbh(config: RunConfig) -> SweepReport:
             "n_midgap": np.array([float(len(rep.modes))]),
             "sigma_min": np.array([res.sigma_min]),
             "v_max_tot": np.array([res.v_max]),
+            "discarded_rank": np.array([res.discarded_rank]),
         },
         metadata={
             "experiment": "bbh",

@@ -16,10 +16,11 @@ from locland.diagnostics import floquet_dos
 from locland.dynamics import propagate
 from locland.errors import ConfigError
 from locland.experiments import (
-    GOLDEN_RATIO_CONJUGATE,
     SCHEMAS,
     RunConfig,
+    RUNNERS,
     _aah_point,
+    _cdt_mono_point,
     _hn_point,
     run_bbh,
     run_cdt_duo,
@@ -123,6 +124,24 @@ class TestCliExitCodes:
         assert code == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "experiment, args",
+        [
+            ("hn", ["n_sites=1"]),
+            ("hn", ["rcond=2"]),
+            ("cdt-mono", ["j_coupling=0"]),
+            ("bbh", ["n_x=1"]),
+            ("aah", ["truncation=-1"]),
+            ("cdt-duo", ["steps_per_period=10", "a_count=2", "b_count=2", "truncation1=1",
+                         "truncation2=1"]),
+        ],
+    )
+    def test_out_of_range_value_exits_2(self, experiment, args, tmp_path, capsys):
+        # the models and solvers reject these with a ValueError subclass
+        code = run_cli([experiment, "--out", str(tmp_path)] + [x for a in args for x in ("--set", a)])
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
+
     def test_workers_below_one_exits_2(self, tmp_path, capsys):
         code = run_cli(["hn", "--out", str(tmp_path), "--workers", "0"])
         assert code == 2
@@ -206,6 +225,16 @@ class TestEndToEnd:
         assert run_cli(["hn", "--out", str(second), "--config", str(first / "manifest.json")]) == 0
         for name in ("report.csv", "profile_r0.70.csv", "profile_r1.30.csv"):
             assert (first / name).read_bytes() == (second / name).read_bytes()
+
+    def test_rerun_into_same_dir_lists_outputs(self, tmp_path):
+        args = ["hn", "--out", str(tmp_path), "--set", "n_sites=24", "--set", "r_count=3"]
+        listed = []
+        for _ in range(2):
+            assert run_cli(args) == 0
+            listed.append(json.loads((tmp_path / "manifest.json").read_text())["outputs"])
+        assert listed[0] == listed[1] == [
+            "profile_r0.70.csv", "profile_r1.30.csv", "report.csv", "report.json"
+        ]
 
     def test_cdt_mono_small(self, tmp_path):
         out = tmp_path / "mono"
@@ -354,6 +383,10 @@ class TestEndToEnd:
         assert meta["all_checks_pass"] is True
         for variant in ("topological", "trivial", "domain_wall"):
             assert (out / f"profile_{variant}.csv").exists()
+        # the domain-wall mode is an exact kernel, dropped by the cutoff
+        rows = list(csv.DictReader(open(out / "report.csv")))
+        assert [row["discarded_rank"] for row in rows] == ["0", "0", "1"]
+        assert "near_null_peak_used" not in meta
 
     def test_bbh_run_passes_checks(self, tmp_path):
         out = tmp_path / "bbh"
@@ -362,6 +395,8 @@ class TestEndToEnd:
         meta = json.loads((out / "report.json").read_text())["metadata"]
         assert meta["all_checks_pass"] is True
         assert (out / "landscape_grid.csv").exists()
+        rows = list(csv.DictReader(open(out / "report.csv")))
+        assert [row["discarded_rank"] for row in rows] == ["0"]
 
     def test_bounds_models(self, tmp_path):
         for model in ("hermitian_pd", "hn", "diag"):
@@ -428,9 +463,12 @@ class TestOneFactorization:
         return seen
 
     @staticmethod
-    def default_config(experiment, out_dir):
-        params = {key: entry.default for key, entry in SCHEMAS[experiment].items()}
-        return RunConfig(experiment=experiment, params=params, out_dir=out_dir)
+    def default_params(experiment):
+        return {key: entry.default for key, entry in SCHEMAS[experiment].items()}
+
+    @classmethod
+    def default_config(cls, experiment, out_dir):
+        return RunConfig(experiment=experiment, params=cls.default_params(experiment), out_dir=out_dir)
 
     def test_ssh_one_per_variant(self, calls, tmp_path):
         run_ssh(self.default_config("ssh", tmp_path))
@@ -443,16 +481,39 @@ class TestOneFactorization:
     def test_hn_point_one_eigh(self, calls):
         # eigh of the gauge partner T, then the largest eigenvalue of
         # (H^dag H)^-1 for sigma_min; no SVD and no general eigensolver
-        point = _hn_point(1.3, n_sites=200, t_left=1.0, rcond=1e-24)
+        point = _hn_point(1.3, {**self.default_params("hn"), "n_sites": 200})
         assert calls == [("eigh", np.float64), ("eigvalsh", np.float64)]
         assert point["discarded_rank"] == 0
 
     def test_aah_point_one_eigh(self, calls):
-        _aah_point(
-            2.5, n_sites=8, hopping=1.0, lambda0=2.8, amplitude=3.7,
-            alpha=GOLDEN_RATIO_CONJUGATE, theta=0.0, truncation=1, bin_width=0.01, rcond=1e-12,
-        )
+        _aah_point(2.5, {**self.default_params("aah"), "n_sites": 8, "truncation": 1})
         assert calls == [("eigh", np.float64)]
+
+
+class TestSweepTable:
+    """Each report row of a swept run is its point function at that row's axis value."""
+
+    @pytest.mark.parametrize(
+        "experiment, point, small",
+        [
+            ("hn", _hn_point, {"n_sites": 24, "r_count": 4}),
+            ("cdt-mono", _cdt_mono_point, {"amp_count": 5, "amp_max": 3.0, "truncation": 2}),
+            ("aah", _aah_point, {"n_sites": 8, "omega_count": 3, "truncation": 1}),
+        ],
+    )
+    def test_columns_are_point_values(self, experiment, point, small, tmp_path):
+        config = TestOneFactorization.default_config(experiment, tmp_path)
+        config.params.update(small)
+        report = RUNNERS[experiment](config)
+        (axis,) = report.axes.values()
+        for row, x in enumerate(axis):
+            values = point(x, config.params)
+            values["log10_vmax"] = np.log10(values["v_max_tot"])
+            # quasienergy_gap comes from the monodromy sweep, not the landscape
+            assert set(report.columns) - set(values) <= {"quasienergy_gap"}
+            for name, column in report.columns.items():
+                if name in values:
+                    assert column[row] == values[name], (name, row)
 
 
 class TestOneRk4Pass:
