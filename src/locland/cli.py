@@ -24,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .diagnostics import write_json
 from .errors import AccuracyError, ConfigError
 from .experiments import RUNNERS, SCHEMAS, RunConfig
 
@@ -84,7 +85,7 @@ def resolve_config(experiment: str, args) -> RunConfig:
                     f"unknown key {key!r} for experiment {experiment!r}; "
                     f"valid keys: {', '.join(sorted(schema))}"
                 )
-            params[key] = _cast_value(key, raw, schema[key].cast)
+            params[key] = _cast_value(key, raw, type(schema[key].default))
     _validate_counts(experiment, params)
     if args.workers < 1:
         raise ConfigError(f"--workers must be at least 1, got {args.workers}")
@@ -97,18 +98,19 @@ def resolve_config(experiment: str, args) -> RunConfig:
     )
 
 
-_SWEPT_COUNT_KEYS = {
-    "hn": ("r_count",),
-    "cdt-mono": ("amp_count",),
-    "cdt-duo": ("a_count", "b_count"),
-    "aah": ("omega_count",),
+#: fewest points of each swept axis; cdt-mono detects peaks on three
+_SWEPT_COUNT_MINIMA = {
+    "hn": {"r_count": 2},
+    "cdt-mono": {"amp_count": 3},
+    "cdt-duo": {"a_count": 2, "b_count": 2},
+    "aah": {"omega_count": 2},
 }
 
 
 def _validate_counts(experiment: str, params: dict) -> None:
-    for key in _SWEPT_COUNT_KEYS.get(experiment, ()):
-        if params[key] < 2:
-            raise ConfigError(f"key {key!r}: swept axes need at least 2 points")
+    for key, minimum in _SWEPT_COUNT_MINIMA.get(experiment, {}).items():
+        if params[key] < minimum:
+            raise ConfigError(f"key {key!r}: swept axis needs at least {minimum} points")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -156,9 +158,7 @@ def _write_manifest(config: RunConfig, wall_time: float, outputs: list) -> None:
         "peak_rss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
         "outputs": sorted(outputs),
     }
-    with open(config.out_dir / "manifest.json", "w", newline="\n") as fh:
-        json.dump(manifest, fh, indent=2, default=float)
-        fh.write("\n")
+    write_json(config.out_dir / "manifest.json", manifest)
 
 
 def main(argv=None) -> int:

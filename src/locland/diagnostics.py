@@ -3,12 +3,12 @@
 Eigenstate densities, participation ratios, folded quasienergy histograms,
 rank/linear correlation statistics, peak detection for sweep curves, and
 the midgap-mode report used by the topology experiments.  SweepReport is
-the common container every experiment serializes to CSV and JSON.
+the common container every experiment serializes; write_csv and write_json
+are the one writer of each file format.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, field
 
@@ -55,17 +55,9 @@ def pearson(x: np.ndarray, y: np.ndarray) -> float:
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
     """Ranks 1..N with ties replaced by the mean rank of the tied group."""
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(values.size, dtype=float)
-    sorted_vals = values[order]
-    i = 0
-    while i < values.size:
-        j = i
-        while j + 1 < values.size and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    _, group, counts = np.unique(values, return_inverse=True, return_counts=True)
+    # a group of c equal values ending at rank e holds ranks e - c + 1 .. e
+    return (np.cumsum(counts) - 0.5 * (counts - 1))[group]
 
 
 def spearman(x: np.ndarray, y: np.ndarray) -> float:
@@ -165,7 +157,6 @@ def detect_peaks(series: np.ndarray, grid: np.ndarray, min_prominence_ratio: flo
 class MidgapMode:
     """One in-gap eigenpair with its spatial footprint."""
 
-    index: int
     energy: complex
     weight: np.ndarray  # |psi_j|^2, sums to 1
     argmax_site: int  # 1-based peak_site of weight
@@ -236,7 +227,6 @@ def midgap_report(
         weight = weight / weight.sum()
         modes.append(
             MidgapMode(
-                index=int(k),
                 energy=complex(energies[k]),
                 weight=weight,
                 argmax_site=peak_site(weight),
@@ -290,36 +280,37 @@ class SweepReport:
             size *= len(ax)
         return size
 
-    def _rows(self):
-        axis_cols = []
-        names = list(self.axes)
-        if len(names) == 1:
-            axis_cols.append(np.asarray(self.axes[names[0]], dtype=float))
-        else:
-            a0, a1 = (np.asarray(self.axes[n], dtype=float) for n in names)
-            axis_cols.append(np.repeat(a0, a1.size))
-            axis_cols.append(np.tile(a1, a0.size))
-        data = axis_cols + [np.asarray(self.columns[c]) for c in self.columns]
-        header = names + list(self.columns)
-        return header, data
-
     def to_csv(self, path) -> None:
-        header, data = self._rows()
-        with open(path, "w", newline="\n") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            for i in range(self.grid_size):
-                writer.writerow([format_number(col[i]) for col in data])
+        # one row per grid point, the last axis fastest
+        axes = (np.asarray(a, dtype=float) for a in self.axes.values())
+        grids = np.meshgrid(*axes, indexing="ij")
+        columns = [g.ravel() for g in grids] + [np.asarray(c) for c in self.columns.values()]
+        write_csv(path, [*self.axes, *self.columns], columns)
 
     def to_json(self, path) -> None:
-        payload = {
+        write_json(path, {
             "metadata": self.metadata,
             "axes": {k: list(map(float, v)) for k, v in self.axes.items()},
             "columns": {k: np.asarray(v).tolist() for k, v in self.columns.items()},
-        }
-        with open(path, "w", newline="\n") as fh:
-            json.dump(payload, fh, indent=2, default=float)
-            fh.write("\n")
+        })
+
+
+def write_csv(path, header, columns) -> None:
+    """A header line, then one row of format_number cells per index of the columns.
+
+    Columns of unequal length raise ValueError rather than lose rows.
+    """
+    with open(path, "w", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in zip(*columns, strict=True):
+            fh.write(",".join(map(format_number, row)) + "\n")
+
+
+def write_json(path, payload) -> None:
+    """payload as indented JSON plus a trailing newline; numpy scalars become floats."""
+    with open(path, "w", newline="\n") as fh:
+        json.dump(payload, fh, indent=2, default=float)
+        fh.write("\n")
 
 
 def format_number(value) -> str:

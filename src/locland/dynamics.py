@@ -234,15 +234,14 @@ def min_left_population_grid(
     psi0: np.ndarray,
     n_periods: int,
     dt: float | None = None,
-    *,
-    with_drift: bool = False,
 ):
-    """Batched min_t P_L over a list of amplitude rows (one per grid point).
+    """Batched min_t P_L over a list of amplitude rows (one per grid point), and its drift.
 
     Runs n_periods periods of the first tone on the same steps as
     propagate(), keeping a running minimum instead of the trajectories.
-    Element k equals the per-point result to roundoff.  with_drift also
-    returns the largest | ||psi|| - 1 | over every step of every row.
+    Returns (min_t P_L per row, the largest | ||psi|| - 1 | over every step
+    of every row); element k of the first equals the per-point result to
+    roundoff.
     """
     amps, freqs, psi, dt = _batch(np.atleast_2d(amplitude_pairs), frequencies, psi0, dt)
     if n_periods < 1:
@@ -253,7 +252,7 @@ def min_left_population_grid(
     for _, block in _evolve(psi, t_end, dt, j_coupling, amps, freqs):
         np.minimum(p_min, (np.abs(block[..., 0]) ** 2).min(axis=0), out=p_min)
         drift = max(drift, _norm_drift(block))
-    return (p_min, drift) if with_drift else p_min
+    return p_min, drift
 
 
 def monodromy_quasienergies_sweep(

@@ -21,11 +21,11 @@ from .diagnostics import (
     average_right_density,
     detect_peaks,
     floquet_dos,
-    format_number,
     midgap_report,
     peak_site,
     pearson,
     spearman,
+    write_csv,
 )
 from .dynamics import (
     DriveSignal,
@@ -58,7 +58,8 @@ SQRT2 = math.sqrt(2.0)
 
 @dataclass(frozen=True)
 class Field:
-    cast: type
+    """A config key's default; text given for the key is parsed as type(default)."""
+
     default: object
 
 
@@ -80,82 +81,82 @@ class RunConfig:
 # one schema per experiment; unknown keys are rejected during resolution
 SCHEMAS = {
     "hn": {
-        "n_sites": Field(int, 120),
-        "t_left": Field(float, 1.0),
-        "r_min": Field(float, 0.7),
-        "r_max": Field(float, 1.3),
-        "r_count": Field(int, 25),
+        "n_sites": Field(120),
+        "t_left": Field(1.0),
+        "r_min": Field(0.7),
+        "r_max": Field(1.3),
+        "r_count": Field(25),
         # unused on the gauge route (even n_sites), which is exact; odd
         # chains take the cutoff route, where the skin-effect singular
         # values must stay in the solve (they carry the boundary physics)
-        "rcond": Field(float, 1e-24),
+        "rcond": Field(1e-24),
     },
     "cdt-mono": {
-        "j_coupling": Field(float, 1.0),
-        "omega": Field(float, 10.0),
-        "amp_min": Field(float, 0.0),  # amplitudes in units of A / (hbar omega)
-        "amp_max": Field(float, 10.0),
-        "amp_count": Field(int, 500),
-        "truncation": Field(int, 6),
-        "rcond": Field(float, 1e-12),
-        "prominence": Field(float, 0.1),
-        "steps_per_period": Field(int, 2000),
+        "j_coupling": Field(1.0),
+        "omega": Field(10.0),
+        "amp_min": Field(0.0),  # amplitudes in units of A / (hbar omega)
+        "amp_max": Field(10.0),
+        "amp_count": Field(500),
+        "truncation": Field(6),
+        "rcond": Field(1e-12),
+        "prominence": Field(0.1),
+        "steps_per_period": Field(2000),
     },
     "cdt-duo": {
-        "j_coupling": Field(float, 1.0),
-        "omega1": Field(float, 10.0),
-        "omega2_ratio": Field(float, SQRT2),
-        "amp_min": Field(float, 0.0),
-        "amp_max": Field(float, 10.0),
-        "a_count": Field(int, 21),
-        "b_count": Field(int, 21),
-        "truncation1": Field(int, 6),
-        "truncation2": Field(int, 6),
-        "n_periods": Field(int, 100),
-        "rcond": Field(float, 1e-12),
-        "steps_per_period": Field(int, 2000),
-        "traj_stride": Field(int, 100),
+        "j_coupling": Field(1.0),
+        "omega1": Field(10.0),
+        "omega2_ratio": Field(SQRT2),
+        "amp_min": Field(0.0),
+        "amp_max": Field(10.0),
+        "a_count": Field(21),
+        "b_count": Field(21),
+        "truncation1": Field(6),
+        "truncation2": Field(6),
+        "n_periods": Field(100),
+        "rcond": Field(1e-12),
+        "steps_per_period": Field(2000),
+        "traj_stride": Field(100),
     },
     "aah": {
-        "n_sites": Field(int, 80),
-        "hopping": Field(float, 1.0),
-        "lambda0": Field(float, 2.8),
-        "amplitude": Field(float, 3.7),
-        "alpha": Field(float, GOLDEN_RATIO_CONJUGATE),
-        "theta": Field(float, 0.0),
-        "omega_min": Field(float, 1.0),
-        "omega_max": Field(float, 10.0),
-        "omega_count": Field(int, 60),
-        "truncation": Field(int, 6),
-        "bin_width": Field(float, 0.01),
-        "rcond": Field(float, 1e-12),
+        "n_sites": Field(80),
+        "hopping": Field(1.0),
+        "lambda0": Field(2.8),
+        "amplitude": Field(3.7),
+        "alpha": Field(GOLDEN_RATIO_CONJUGATE),
+        "theta": Field(0.0),
+        "omega_min": Field(1.0),
+        "omega_max": Field(10.0),
+        "omega_count": Field(60),
+        "truncation": Field(6),
+        "bin_width": Field(0.01),
+        "rcond": Field(1e-12),
     },
     "ssh": {
-        "n_cells": Field(int, 20),
-        "t_weak": Field(float, 0.5),
-        "t_strong": Field(float, 1.0),
+        "n_cells": Field(20),
+        "t_weak": Field(0.5),
+        "t_strong": Field(1.0),
         # near-zero singular directions are the topology signal; the tiny
         # cutoff keeps deep midgap modes while exact kernels still drop to
         # the near-null branch of the colocalization check
-        "rcond": Field(float, 1e-24),
-        "window": Field(float, 0.0),  # 0 -> automatic midgap window
+        "rcond": Field(1e-24),
+        "window": Field(0.0),  # 0 -> automatic midgap window
     },
     "bbh": {
-        "n_x": Field(int, 6),
-        "n_y": Field(int, 6),
-        "gamma": Field(float, 0.5),
-        "lam": Field(float, 1.0),
-        "rcond": Field(float, 1e-12),
-        "window": Field(float, 0.0),
+        "n_x": Field(6),
+        "n_y": Field(6),
+        "gamma": Field(0.5),
+        "lam": Field(1.0),
+        "rcond": Field(1e-12),
+        "window": Field(0.0),
     },
     "bounds": {
-        "model": Field(str, "hermitian_pd"),  # hermitian_pd | hn | diag
-        "dimension": Field(int, 30),
-        "epsilon": Field(float, 1e-3),
-        "n_sites": Field(int, 120),
-        "t_left": Field(float, 1.0),
-        "r": Field(float, 0.9),
-        "rcond": Field(float, 1e-12),
+        "model": Field("hermitian_pd"),  # hermitian_pd | hn | diag
+        "dimension": Field(30),
+        "epsilon": Field(1e-3),
+        "n_sites": Field(120),
+        "t_left": Field(1.0),
+        "r": Field(0.9),
+        "rcond": Field(1e-12),
     },
 }
 
@@ -181,13 +182,6 @@ def _report_columns(table: dict, *names) -> dict:
     head = {"v_max_tot": vmax, "log10_vmax": np.log10(vmax), "sigma_min": table["sigma_min"]}
     health = [n for n in ("discarded_rank", "edge_sector_weight") if n in table]
     return {**head, **{n: table[n] for n in (*names, *health)}}
-
-
-def _write_profile_csv(path: Path, header: list, columns: list) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in zip(*columns):
-            fh.write(",".join(format_number(x) for x in row) + "\n")
 
 
 def _local_minima(series: np.ndarray, grid: np.ndarray) -> list:
@@ -227,7 +221,7 @@ def run_hn(config: RunConfig) -> SweepReport:
     sites = np.arange(1, p["n_sites"] + 1)
     for k in (0, -1):
         r, dens, amp = rs[k], table["density"][k], table["amplitude"][k]
-        _write_profile_csv(
+        write_csv(
             config.out_dir / f"profile_r{r:.2f}.csv",
             ["site", "avg_density", "avg_density_norm", "landscape_amp", "landscape_norm"],
             [sites, dens, dens / dens.max(), amp, amp / amp.max()],
@@ -290,10 +284,10 @@ def run_cdt_mono(config: RunConfig) -> SweepReport:
             peak_rows.append((pos, height, nearest[0], offset))
         else:
             peak_rows.append((pos, height, float("nan"), float("nan")))
-    _write_profile_csv(
+    write_csv(
         config.out_dir / "peaks.csv",
         ["peak_position", "peak_height_log10", "gap_minimum_position", "rel_offset"],
-        [np.array(col) for col in zip(*peak_rows)] if peak_rows else [np.array([])] * 4,
+        list(zip(*peak_rows)),
     )
     return SweepReport(
         axes={"a_over_omega": us},
@@ -344,7 +338,7 @@ def run_cdt_duo(config: RunConfig) -> SweepReport:
     amp_pairs = np.array(grid_pairs) * omega1
     psi_left = np.array([1.0, 0.0], dtype=complex)
     min_pl, grid_drift = min_left_population_grid(
-        p["j_coupling"], amp_pairs, (omega1, omega2), psi_left, p["n_periods"], dt, with_drift=True
+        p["j_coupling"], amp_pairs, (omega1, omega2), psi_left, p["n_periods"], dt
     )
     if grid_drift > NORM_DRIFT_LIMIT:
         raise AccuracyError(f"min_PL grid drifts from unit norm by {grid_drift:.2e}; reduce dt")
@@ -376,12 +370,12 @@ def run_cdt_duo(config: RunConfig) -> SweepReport:
     psi0 = np.array([starts[state] for _, state in runs])
     # only the written rows are stored; the drift gate still sees every step
     t_end = p["n_periods"] * 2.0 * math.pi / omega1
-    traj = propagate(drive, psi0, t_end, dt, stride=max(1, p["traj_stride"]))
+    traj = propagate(drive, psi0, t_end, dt, stride=p["traj_stride"])
     drift = traj.max_norm_drift
     if drift > NORM_DRIFT_LIMIT:
         raise AccuracyError(f"marked trajectories drift from unit norm by {drift:.2e}; reduce dt")
     for k, (tag, state) in enumerate(runs):
-        _write_profile_csv(
+        write_csv(
             config.out_dir / f"trajectory_{tag}_{state}.csv",
             ["time", "p_left"],
             [traj.times, traj.p_left[:, k]],
@@ -451,7 +445,7 @@ def run_aah(config: RunConfig) -> SweepReport:
     table = _grid_map(lambda omega: _aah_point(omega, p), omegas)
     centers, dos = table["dos_centers"][0], table["dos_density"]
     header = ["x"] + [f"omega={w:.6g}" for w in omegas]
-    _write_profile_csv(config.out_dir / "dos_grid.csv", header, [centers, *dos])
+    write_csv(config.out_dir / "dos_grid.csv", header, [centers, *dos])
     # uniform bins tile [-1/2, 1/2), so each bin is 1 / n_bins wide
     dos_error = float(np.abs(dos.sum(axis=1) / centers.size - 1.0).max())
     if dos_error > DOS_NORM_LIMIT:
@@ -499,7 +493,7 @@ def _colocalization_checks(report, amplitude, site_tolerance: int) -> dict:
 
 def run_ssh(config: RunConfig) -> SweepReport:
     p = config.params
-    window = p["window"] if p["window"] > 0.0 else None
+    window = p["window"] or None
     variants = ("topological", "trivial", "domain_wall")
     reports = {}
     for variant in variants:
@@ -518,7 +512,7 @@ def run_ssh(config: RunConfig) -> SweepReport:
         for k, mode in enumerate(rep.modes):
             header.append(f"midgap_weight_{k}")
             cols.append(mode.weight)
-        _write_profile_csv(config.out_dir / f"profile_{variant}.csv", header, cols)
+        write_csv(config.out_dir / f"profile_{variant}.csv", header, cols)
 
     top, trivial, dw = (reports[v] for v in variants)
     sigma_ratio = trivial.landscape.sigma_min / top.landscape.sigma_min
@@ -560,14 +554,14 @@ def run_ssh(config: RunConfig) -> SweepReport:
 
 def run_bbh(config: RunConfig) -> SweepReport:
     p = config.params
-    window = p["window"] if p["window"] > 0.0 else None
+    window = p["window"] or None
     op = bbh(p["n_x"], p["n_y"], p["gamma"], p["lam"])
     rep = midgap_report(op, window, p["rcond"])
     res = rep.landscape
     lx, ly = 2 * p["n_x"], 2 * p["n_y"]
     cols_i = np.array([bbh_site_coords(k, p["n_x"])[0] for k in range(op.dim)])
     cols_j = np.array([bbh_site_coords(k, p["n_x"])[1] for k in range(op.dim)])
-    _write_profile_csv(
+    write_csv(
         config.out_dir / "landscape_grid.csv",
         ["site_x", "site_y", "landscape_amp", "landscape_norm"],
         [cols_i, cols_j, res.amplitude, res.amplitude / res.amplitude.max()],
@@ -683,10 +677,12 @@ def run_bounds(config: RunConfig) -> SweepReport:
         "value": err_consistency,
     }
 
-    ratios = [ratio for _, ratio in eigenmode_bound_report(res)]
-    max_ratio = float(max(ratios))
+    # the bound is read off every singular direction of H, so it does not
+    # apply once the cutoff discards one
+    applies = res.discarded_rank == 0
+    max_ratio = max(ratio for _, ratio in eigenmode_bound_report(res)) if applies else None
     results["eigenmode_bound"] = {
-        "passed": bool(max_ratio <= 1.0 + 1e-8) if pd else None,
+        "passed": bool(max_ratio <= 1.0 + 1e-8) if pd and applies else None,
         "value": max_ratio,
     }
 

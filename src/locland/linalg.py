@@ -97,7 +97,6 @@ class PseudoSolveResult:
     """Solution of a cutoff pseudoinverse solve plus rank bookkeeping."""
 
     x: np.ndarray
-    kept_rank: int
     discarded_rank: int
     degenerate: bool
 
@@ -199,13 +198,12 @@ def pseudo_solve(op: Operator, b: np.ndarray, rcond: float = DEFAULT_RCOND) -> P
     if kept == 0:
         return PseudoSolveResult(
             x=np.zeros(op.dim, dtype=complex),
-            kept_rank=0,
             discarded_rank=op.dim,
             degenerate=True,
         )
     vk = vecs[:, keep]
     x = vk @ ((vk.conj().T @ rhs) / w[keep])
-    return PseudoSolveResult(x=x, kept_rank=kept, discarded_rank=op.dim - kept, degenerate=False)
+    return PseudoSolveResult(x=x, discarded_rank=op.dim - kept, degenerate=False)
 
 
 def weighted_mean_site(weights: np.ndarray) -> float:

@@ -2,7 +2,7 @@
 
 A drive with N incommensurate tones maps onto a block matrix over harmonic
 sectors m = (m1, ..., mN) with -M_i <= m_i <= M_i: the diagonal sectors hold
-h0 plus the ladder shift hbar (m1 w1 + ... + mN wN), and sector (m, m')
+h0 plus the ladder shift m1 w1 + ... + mN wN (hbar = 1), and sector (m, m')
 holds the drive block for harmonic m - m'.  In Kronecker form this is
 I_S (x) h0 + diag(m . w) (x) I_n + sum_k S_k (x) B_k.  Flat indices run
 site-fastest, then m1, then m2 and so on, so site profiles come out of a
@@ -19,9 +19,6 @@ import numpy as np
 from .errors import DimensionError
 from .linalg import Operator
 from .models import FourierDrive
-
-HBAR = 1.0  # dimensionless units throughout; drives are quoted as A / (hbar omega)
-
 
 @dataclass(frozen=True, eq=False)
 class SambeIndexMap:
@@ -95,7 +92,6 @@ class SambeOperator:
 
     matrix: Operator
     index_map: SambeIndexMap
-    frequencies: tuple
 
 
 def build_sambe(h0: Operator, drive: FourierDrive, omegas, truncations) -> SambeOperator:
@@ -122,7 +118,7 @@ def build_sambe(h0: Operator, drive: FourierDrive, omegas, truncations) -> Sambe
     dtype = np.result_type(h0.entries, *(block.entries for block in drive.blocks.values()))
     mat = np.zeros((s, n, s, n), dtype=dtype)
     diag = np.arange(s)
-    shifts = sum(harmonics[:, i] * HBAR * w for i, w in enumerate(omegas))
+    shifts = sum(harmonics[:, i] * w for i, w in enumerate(omegas))
     mat[diag, :, diag, :] = h0.entries + shifts[:, None, None] * np.eye(n, dtype=dtype)
     dropped = []
     for key, block in drive.blocks.items():
@@ -142,7 +138,6 @@ def build_sambe(h0: Operator, drive: FourierDrive, omegas, truncations) -> Sambe
     return SambeOperator(
         matrix=Operator(mat.reshape(index_map.flat_dim, index_map.flat_dim), label=label),
         index_map=index_map,
-        frequencies=omegas,
     )
 
 

@@ -114,6 +114,20 @@ def j0_zero_bisection(bracket_lo: float, bracket_hi: float, tol: float = 1e-12) 
     return 0.5 * (lo + hi)
 
 
+def average_ranks_loop(values: np.ndarray) -> np.ndarray:
+    """Ranks 1..N, each run of equal sorted values given the mean of its ranks."""
+    order = np.argsort(values, kind="stable")
+    ranks = np.empty(values.size, dtype=float)
+    i = 0
+    while i < values.size:
+        j = i
+        while j + 1 < values.size and values[order[j + 1]] == values[order[i]]:
+            j += 1
+        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks
+
+
 def open_chain_spectrum(n_sites: int, hopping: float) -> np.ndarray:
     """Eigenvalues 2 t cos(k pi / (N+1)) of the uniform open chain."""
     k = np.arange(1, n_sites + 1)

@@ -112,10 +112,36 @@ class TestConfigResolution:
         values = load_config_file(path)
         assert values == {"n_sites": 24, "r_count": 3}
 
-    def test_every_experiment_has_schema_defaults(self):
+    def test_every_experiment_has_schema_defaults(self, tmp_path):
+        # text given for a key is parsed as the type of its default, so each
+        # default given back through --set resolves to itself
+        class Args:
+            config = None
+            out = str(tmp_path)
+            workers = 1
+            seed = 0
+
         for name, schema in SCHEMAS.items():
+            Args.set = [f"{key}={entry.default}" for key, entry in schema.items()]
+            params = resolve_config(name, Args()).params
             for key, entry in schema.items():
-                assert isinstance(entry.cast(entry.default), entry.cast), (name, key)
+                assert type(params[key]) is type(entry.default), (name, key)
+                assert params[key] == entry.default, (name, key)
+        Args.set = ["t_left=2"]
+        t_left = resolve_config("hn", Args()).params["t_left"]
+        assert type(t_left) is float and t_left == 2.0
+
+    def test_peak_detection_needs_three_amplitudes(self, tmp_path):
+        # cdt-mono detects peaks on the amplitude axis, which needs three points
+        class Args:
+            config = None
+            out = str(tmp_path)
+            workers = 1
+            set = ["amp_count=2"]
+            seed = 0
+
+        with pytest.raises(ConfigError, match="amp_count"):
+            resolve_config("cdt-mono", Args())
 
 
 class TestCliExitCodes:
@@ -134,6 +160,12 @@ class TestCliExitCodes:
             ("aah", ["truncation=-1"]),
             ("cdt-duo", ["steps_per_period=10", "a_count=2", "b_count=2", "truncation1=1",
                          "truncation2=1"]),
+            ("cdt-duo", ["traj_stride=0", "a_count=2", "b_count=2", "truncation1=1",
+                         "truncation2=1", "n_periods=1"]),
+            ("cdt-duo", ["traj_stride=-5", "a_count=2", "b_count=2", "truncation1=1",
+                         "truncation2=1", "n_periods=1"]),
+            ("ssh", ["window=-1"]),
+            ("bbh", ["window=-1"]),
         ],
     )
     def test_out_of_range_value_exits_2(self, experiment, args, tmp_path, capsys):
@@ -408,6 +440,18 @@ class TestEndToEnd:
             meta = json.loads((out / "report.json").read_text())["metadata"]
             for name, result in meta["results"].items():
                 assert result["passed"] is not False, (model, name, result)
+
+    @pytest.mark.parametrize(
+        "args",
+        [["model=hn", "n_sites=41"], ["model=hn", "r=0.5"], ["model=diag", "epsilon=1e-7"]],
+    )
+    def test_bounds_cutoff_leaves_eigenmode_bound_inapplicable(self, args, tmp_path):
+        # the cutoff discards a direction of H (an odd chain is singular), so
+        # the bound, read off every direction, is reported as not applicable
+        out_args = ["bounds", "--out", str(tmp_path)]
+        assert run_cli(out_args + [x for a in args for x in ("--set", a)]) == 0
+        results = json.loads((tmp_path / "report.json").read_text())["metadata"]["results"]
+        assert results["eigenmode_bound"] == {"passed": None, "value": None}
 
     def test_workers_flag_accepted_and_ignored(self, tmp_path):
         serial = tmp_path / "serial"

@@ -25,10 +25,11 @@ from locland import (
     spearman,
     ssh,
 )
-from locland.diagnostics import peak_site
+from locland.diagnostics import _average_ranks, peak_site, write_csv
 from locland.linalg import weighted_mean_site
 
 from conftest import random_complex
+from oracles import average_ranks_loop
 
 
 class TestAverageRightDensity:
@@ -123,6 +124,11 @@ class TestSpearman:
         expected = pearson(np.array([1.0, 2.0, 3.0]), np.array([1.5, 1.5, 3.0]))
         assert spearman(x, y) == pytest.approx(expected, rel=1e-12)
         assert spearman(x, y) == pytest.approx(scipy.stats.spearmanr(x, y).statistic, rel=1e-12)
+
+    def test_average_ranks_match_loop(self, rng):
+        # ranks are integers or half-integers, so both routes are exact
+        for values in (rng.integers(0, 6, size=40).astype(float), rng.normal(size=30), np.ones(5)):
+            assert np.array_equal(_average_ranks(values), average_ranks_loop(values))
 
     def test_against_scipy(self, rng):
         x = rng.normal(size=40)
@@ -352,6 +358,17 @@ class TestSweepReport:
         assert rows[1][:2] == ["0", "10"]
         assert rows[2][:2] == ["0", "20"]
         assert rows[4][:2] == ["1", "10"]
+
+    def test_write_csv_rejects_unequal_columns(self, tmp_path):
+        with pytest.raises(ValueError):
+            write_csv(tmp_path / "t.csv", ["a", "b"], [np.arange(3.0), np.arange(2.0)])
+        with pytest.raises(ValueError):
+            write_csv(tmp_path / "t.csv", ["a", "b"], [np.arange(2.0), np.arange(3.0)])
+
+    def test_write_csv_header_alone_for_empty_columns(self, tmp_path):
+        path = tmp_path / "peaks.csv"
+        write_csv(path, ["position", "height"], [np.array([]), np.array([])])
+        assert path.read_bytes() == b"position,height\n"
 
     def test_json_structure(self, tmp_path):
         path = tmp_path / "report.json"
