@@ -25,6 +25,7 @@ import numpy as np
 
 from . import __version__
 from .diagnostics import write_json
+from .dynamics import MIN_STEPS_PER_PERIOD
 from .errors import AccuracyError, ConfigError
 from .experiments import RUNNERS, SCHEMAS, RunConfig
 
@@ -98,19 +99,20 @@ def resolve_config(experiment: str, args) -> RunConfig:
     )
 
 
-#: fewest points of each swept axis; cdt-mono detects peaks on three
-_SWEPT_COUNT_MINIMA = {
+#: smallest value of each count key: points of a swept axis (cdt-mono
+#: detects peaks on three) and RK4 steps per drive period
+_COUNT_MINIMA = {
     "hn": {"r_count": 2},
-    "cdt-mono": {"amp_count": 3},
-    "cdt-duo": {"a_count": 2, "b_count": 2},
+    "cdt-mono": {"amp_count": 3, "steps_per_period": MIN_STEPS_PER_PERIOD},
+    "cdt-duo": {"a_count": 2, "b_count": 2, "steps_per_period": MIN_STEPS_PER_PERIOD},
     "aah": {"omega_count": 2},
 }
 
 
 def _validate_counts(experiment: str, params: dict) -> None:
-    for key, minimum in _SWEPT_COUNT_MINIMA.get(experiment, {}).items():
+    for key, minimum in _COUNT_MINIMA.get(experiment, {}).items():
         if params[key] < minimum:
-            raise ConfigError(f"key {key!r}: swept axis needs at least {minimum} points")
+            raise ConfigError(f"key {key!r} must be at least {minimum}, got {params[key]}")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -33,6 +33,9 @@ from .errors import AccuracyError, NormalizationError
 #: default number of integration steps per period of the fastest drive tone
 STEPS_PER_PERIOD = 2000
 
+#: fewest steps per period of the fastest drive tone, the coarsest dt allowed
+MIN_STEPS_PER_PERIOD = 200
+
 #: step maps (steps x rows) built per block of _evolve
 _BLOCK_ENTRIES = 1 << 14
 
@@ -88,16 +91,18 @@ def _batch(amplitudes, frequencies, psi0, dt):
 
     One amplitude row or one state is broadcast against a batch of the
     other.  dt defaults to the shortest drive period over STEPS_PER_PERIOD
-    and may not exceed that period over 200.
+    and may not exceed that period over MIN_STEPS_PER_PERIOD.
     """
     amps, freqs = _drive_arrays(amplitudes, frequencies)
     period = 2.0 * math.pi / freqs.max()
     dt = period / STEPS_PER_PERIOD if dt is None else dt
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    limit = period / 200.0
+    limit = period / MIN_STEPS_PER_PERIOD
     if dt > limit * (1.0 + 1e-12):
-        raise ValueError(f"dt={dt} too coarse; need dt <= (shortest period)/200 = {limit:.3e}")
+        raise ValueError(
+            f"dt={dt} too coarse; need dt <= (shortest period)/{MIN_STEPS_PER_PERIOD} = {limit:.3e}"
+        )
     psi = np.asarray(psi0, dtype=complex)
     if psi.ndim not in (1, 2) or psi.shape[-1] != 2:
         raise ValueError("psi0 must be a 2-vector or a (B, 2) batch")

@@ -45,9 +45,7 @@ class LandscapeResult:
     out first for extended-space solves).  spectrum is the factorization of
     H on the generic route; a gauge-route solve has spectrum None and
     carries the eigendecomposition of the gauge partner T in gauge_eig.
-    Construction validates v_max = max amplitude and, for nondegenerate
-    solves with sigma_min > 0, the chain
-    v_max <= ||v||_2 <= sqrt(d) / sigma_min^2.
+    Construction validates v_max = max amplitude and norm_bound_chain.
     """
 
     amplitude: np.ndarray
@@ -68,17 +66,25 @@ class LandscapeResult:
             raise DimensionError("amplitude and v_complex must have equal length")
         if self.amplitude.size and self.v_max != float(self.amplitude.max()):
             raise AccuracyError("v_max does not equal max |v_j|")
-        if not self.degenerate and self.sigma_min > 0.0:
-            l2 = float(np.linalg.norm(self.v_complex))
-            if self.v_max > l2 * (1.0 + _BOUND_RTOL):
-                raise AccuracyError("norm bound violated: v_max > ||v||_2")
-            cap = np.sqrt(self.amplitude.size) / self.sigma_min**2
-            if l2 > cap * (1.0 + _BOUND_RTOL):
-                raise AccuracyError("norm bound violated: ||v||_2 > sqrt(d)/sigma_min^2")
+        if self.norm_bound_chain is False:
+            raise AccuracyError("norm bound chain v_max <= ||v||_2 <= sqrt(d)/sigma_min^2 violated")
 
     @property
     def norm2(self) -> float:
         return float(np.linalg.norm(self.v_complex))
+
+    @property
+    def norm_bound_chain(self) -> bool | None:
+        """Whether v_max <= ||v||_2 <= sqrt(d) / sigma_min^2 holds, to _BOUND_RTOL.
+
+        None where the chain says nothing: a degenerate solve or sigma_min = 0.
+        """
+        if self.degenerate or self.sigma_min <= 0.0:
+            return None
+        slack = 1.0 + _BOUND_RTOL
+        l2 = self.norm2
+        cap = math.sqrt(self.amplitude.size) / self.sigma_min**2
+        return bool(self.v_max <= l2 * slack and l2 <= cap * slack)
 
 
 def solve_landscape(

@@ -73,6 +73,23 @@ class SshConfig:
             raise ConfigError("domain_wall needs |t_intra| != |t_inter|")
 
 
+def _open_chain(name: str, n_sites: int, upper, lower, diagonal=0.0) -> np.ndarray:
+    """Matrix of an open chain: upper on the superdiagonal, lower on the subdiagonal.
+
+    lower is the amplitude for hopping j -> j+1 and upper for j+1 -> j;
+    upper and lower take a scalar or one value per bond, diagonal a scalar
+    or one value per site.
+    """
+    if n_sites < 2:
+        raise DimensionError(f"{name} needs n_sites >= 2")
+    m = np.zeros((n_sites, n_sites))
+    idx = np.arange(n_sites - 1)
+    m[idx, idx + 1] = upper
+    m[idx + 1, idx] = lower
+    m[np.diag_indices(n_sites)] = diagonal
+    return m
+
+
 def hatano_nelson(n_sites: int, t_left: float, t_right: float) -> Operator:
     """Open-boundary chain with non-reciprocal nearest-neighbor hopping.
 
@@ -88,12 +105,7 @@ def hatano_nelson(n_sites: int, t_left: float, t_right: float) -> Operator:
     is also even: for odd n_sites T has an exact zero eigenvalue, and the
     chain stays on the generic route.
     """
-    if n_sites < 2:
-        raise DimensionError("hatano_nelson needs n_sites >= 2")
-    m = np.zeros((n_sites, n_sites))
-    idx = np.arange(n_sites - 1)
-    m[idx, idx + 1] = t_left
-    m[idx + 1, idx] = t_right
+    m = _open_chain("hatano_nelson", n_sites, t_left, t_right)
     gauge = None
     if n_sites % 2 == 0 and t_left * t_right > 0.0:
         gauge = 0.5 * math.log(t_right / t_left) * (np.arange(n_sites) - 0.5 * (n_sites - 1))
@@ -108,14 +120,8 @@ def aah_static(n_sites: int, hopping: float, lambda0: float, alpha: float, theta
     The onsite argument uses n = 1..N, matching the site-1-based conventions
     used everywhere else.
     """
-    if n_sites < 2:
-        raise DimensionError("aah_static needs n_sites >= 2")
-    m = np.zeros((n_sites, n_sites))
-    idx = np.arange(n_sites - 1)
-    m[idx, idx + 1] = -hopping
-    m[idx + 1, idx] = -hopping
-    sites = np.arange(1, n_sites + 1)
-    m[np.arange(n_sites), np.arange(n_sites)] = lambda0 * np.cos(2.0 * np.pi * alpha * sites + theta)
+    onsite = lambda0 * np.cos(2.0 * np.pi * alpha * np.arange(1, n_sites + 1) + theta)
+    m = _open_chain("aah_static", n_sites, -hopping, -hopping, onsite)
     return Operator(m, label=f"aah(N={n_sites},J={hopping},lam0={lambda0})")
 
 
@@ -198,10 +204,7 @@ def ssh(config: SshConfig) -> Operator:
         b = np.arange(1, n_sites)  # 1-based bond index, bond b joins sites b, b+1
         bonds[(b % 2 == 1) & (b <= wall - 2)] = strong
         bonds[(b % 2 == 0) & (b >= wall + 1)] = strong
-    m = np.zeros((n_sites, n_sites))
-    idx = np.arange(n_sites - 1)
-    m[idx, idx + 1] = -bonds
-    m[idx + 1, idx] = -bonds
+    m = _open_chain("ssh", n_sites, -bonds, -bonds)
     return Operator(m, label=f"ssh({config.variant},n_cells={config.n_cells})")
 
 
@@ -216,28 +219,23 @@ def bbh(n_x: int, n_y: int, gamma: float, lam: float) -> Operator:
     if n_x < 2 or n_y < 2:
         raise DimensionError("bbh needs n_x, n_y >= 2")
     lx, ly = 2 * n_x, 2 * n_y
-    n_sites = lx * ly
-    m = np.zeros((n_sites, n_sites))
-
-    def flat(i, j):  # (column i, row j), both 1-based
-        return (j - 1) * lx + (i - 1)
-
-    for j in range(1, ly + 1):
-        for i in range(1, lx + 1):
-            p = flat(i, j)
-            if i < lx:  # x bond, sign -1 on even rows
-                t = gamma if i % 2 == 1 else lam
-                sign = 1.0 if j % 2 == 1 else -1.0
-                m[p, flat(i + 1, j)] = sign * t
-                m[flat(i + 1, j), p] = sign * t
-            if j < ly:  # y bond
-                t = gamma if j % 2 == 1 else lam
-                m[p, flat(i, j + 1)] = t
-                m[flat(i, j + 1), p] = t
+    site = np.arange(lx * ly)
+    i, j = bbh_site_coords(site, n_x)
+    m = np.zeros((site.size, site.size))
+    # x bonds (i, j)-(i+1, j), sign -1 on even rows; y bonds (i, j)-(i, j+1)
+    x, y = site[i < lx], site[j < ly]
+    tx = np.where(i % 2 == 1, gamma, lam) * np.where(j % 2 == 1, 1.0, -1.0)
+    ty = np.where(j % 2 == 1, gamma, lam)
+    m[x, x + 1] = m[x + 1, x] = tx[x]
+    m[y, y + lx] = m[y + lx, y] = ty[y]
     return Operator(m, label=f"bbh({n_x}x{n_y},gamma={gamma},lam={lam})")
 
 
-def bbh_site_coords(flat_index: int, n_x: int) -> tuple[int, int]:
-    """Map a flat site index of the bbh lattice to 1-based (column, row)."""
+def bbh_site_coords(flat_index, n_x: int):
+    """Map flat site indices of the bbh lattice to 1-based (column, row).
+
+    Works elementwise: an integer gives a pair of ints, an index array a
+    pair of arrays.  Sites run row by row, 2 * n_x to a row.
+    """
     lx = 2 * n_x
     return flat_index % lx + 1, flat_index // lx + 1

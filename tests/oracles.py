@@ -128,6 +128,26 @@ def average_ranks_loop(values: np.ndarray) -> np.ndarray:
     return ranks
 
 
+def bbh_matrix_loop(n_x: int, n_y: int, gamma: float, lam: float) -> np.ndarray:
+    """The bbh matrix bond by bond: a loop over (column i, row j), both 1-based."""
+    lx, ly = 2 * n_x, 2 * n_y
+    m = np.zeros((lx * ly, lx * ly))
+
+    def flat(i, j):
+        return (j - 1) * lx + (i - 1)
+
+    for j in range(1, ly + 1):
+        for i in range(1, lx + 1):
+            p = flat(i, j)
+            if i < lx:  # x bond, sign -1 on even rows
+                t = (gamma if i % 2 == 1 else lam) * (1.0 if j % 2 == 1 else -1.0)
+                m[p, flat(i + 1, j)] = m[flat(i + 1, j), p] = t
+            if j < ly:  # y bond
+                t = gamma if j % 2 == 1 else lam
+                m[p, flat(i, j + 1)] = m[flat(i, j + 1), p] = t
+    return m
+
+
 def open_chain_spectrum(n_sites: int, hopping: float) -> np.ndarray:
     """Eigenvalues 2 t cos(k pi / (N+1)) of the uniform open chain."""
     k = np.arange(1, n_sites + 1)

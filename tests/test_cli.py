@@ -143,6 +143,21 @@ class TestConfigResolution:
         with pytest.raises(ConfigError, match="amp_count"):
             resolve_config("cdt-mono", Args())
 
+    @pytest.mark.parametrize("experiment", ["cdt-mono", "cdt-duo"])
+    def test_steps_per_period_floor(self, experiment, tmp_path):
+        # the RK4 step may not exceed the fastest drive period over 200
+        class Args:
+            config = None
+            out = str(tmp_path)
+            workers = 1
+            seed = 0
+
+        Args.set = [f"steps_per_period={dynamics.MIN_STEPS_PER_PERIOD}"]
+        resolve_config(experiment, Args())
+        Args.set = [f"steps_per_period={dynamics.MIN_STEPS_PER_PERIOD - 1}"]
+        with pytest.raises(ConfigError, match="steps_per_period"):
+            resolve_config(experiment, Args())
+
 
 class TestCliExitCodes:
     def test_config_error_exits_2(self, tmp_path, capsys):
@@ -166,6 +181,9 @@ class TestCliExitCodes:
                          "truncation2=1", "n_periods=1"]),
             ("ssh", ["window=-1"]),
             ("bbh", ["window=-1"]),
+            # rejected at resolve time, before the Sambe grid runs
+            ("cdt-mono", ["steps_per_period=0"]),
+            ("cdt-duo", ["steps_per_period=0"]),
         ],
     )
     def test_out_of_range_value_exits_2(self, experiment, args, tmp_path, capsys):
@@ -430,6 +448,17 @@ class TestEndToEnd:
         rows = list(csv.DictReader(open(out / "report.csv")))
         assert [row["discarded_rank"] for row in rows] == ["0"]
 
+    def test_bbh_corner_midgap_weight_is_basis_free(self, tmp_path):
+        # the four corner cells hold equal shares of the midgap projector,
+        # whatever basis the solver picks inside the degenerate pairs
+        assert run_cli(["bbh", "--out", str(tmp_path)]) == 0
+        meta = json.loads((tmp_path / "report.json").read_text())["metadata"]
+        weights = meta["corner_midgap_weight"]
+        assert len(weights) == 4 and "mode_argmax_coords" not in meta
+        assert max(weights) - min(weights) <= 1e-12
+        assert min(weights) > 0.5
+        assert all(type(c) is int for c in meta["landscape_argmax_coords"])
+
     def test_bounds_models(self, tmp_path):
         for model in ("hermitian_pd", "hn", "diag"):
             out = tmp_path / f"bounds_{model}"
@@ -443,7 +472,12 @@ class TestEndToEnd:
 
     @pytest.mark.parametrize(
         "args",
-        [["model=hn", "n_sites=41"], ["model=hn", "r=0.5"], ["model=diag", "epsilon=1e-7"]],
+        [
+            ["model=hn", "n_sites=41"],
+            ["model=hn", "r=0.5"],
+            ["model=diag", "epsilon=1e-7"],
+            ["model=diag", "epsilon=0"],
+        ],
     )
     def test_bounds_cutoff_leaves_eigenmode_bound_inapplicable(self, args, tmp_path):
         # the cutoff discards a direction of H (an odd chain is singular), so
@@ -452,6 +486,9 @@ class TestEndToEnd:
         assert run_cli(out_args + [x for a in args for x in ("--set", a)]) == 0
         results = json.loads((tmp_path / "report.json").read_text())["metadata"]["results"]
         assert results["eigenmode_bound"] == {"passed": None, "value": None}
+        # at sigma_min = 0 the norm-bound chain has no upper end
+        chain = results["norm_bound_chain"]["passed"]
+        assert chain is None if "epsilon=0" in args else chain is True
 
     def test_workers_flag_accepted_and_ignored(self, tmp_path):
         serial = tmp_path / "serial"

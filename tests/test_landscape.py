@@ -198,6 +198,13 @@ class TestLandscapeInvariants:
             assert res.v_max <= l2 * (1.0 + 1e-12)
             assert l2 <= np.sqrt(op.dim) / res.sigma_min**2 * (1.0 + 1e-8)
 
+    def test_norm_chain_none_without_upper_end(self):
+        # the cutoff drops the exact zero of diag(0, 1, 1): sigma_min = 0
+        res = solve_landscape(Operator(np.diag([0.0, 1.0, 1.0])))
+        assert res.sigma_min == 0.0 and res.discarded_rank == 1
+        assert res.norm_bound_chain is None
+        assert solve_landscape(Operator(np.diag([1e-3, 1.0, 1.0]))).norm_bound_chain is True
+
     def test_norm_chain_enforced_at_construction(self):
         with pytest.raises(AccuracyError):
             LandscapeResult(

@@ -20,7 +20,7 @@ from locland import (
     two_level_static,
 )
 
-from oracles import open_chain_spectrum
+from oracles import bbh_matrix_loop, open_chain_spectrum
 
 SZ = np.diag([1.0, -1.0])
 
@@ -287,10 +287,23 @@ class TestBbh:
                 )
                 assert product.real < 0.0  # sign product -1: pi flux
 
+    @pytest.mark.parametrize(
+        "n_x, n_y, gamma, lam", [(2, 2, 0.7, 0.0), (3, 4, 0.6, 1.1), (6, 6, 0.5, 1.0)]
+    )
+    def test_matches_bond_loop(self, n_x, n_y, gamma, lam):
+        expected = bbh_matrix_loop(n_x, n_y, gamma, lam)
+        assert np.array_equal(bbh(n_x, n_y, gamma, lam).entries, expected)
+
     def test_site_coords_roundtrip(self):
         assert bbh_site_coords(0, 6) == (1, 1)
         assert bbh_site_coords(11, 6) == (12, 1)
         assert bbh_site_coords(12, 6) == (1, 2)
+
+    def test_site_coords_elementwise(self):
+        cols, rows = bbh_site_coords(np.arange(24 * 6), 12)
+        assert [(int(c), int(r)) for c, r in zip(cols, rows)] == [
+            bbh_site_coords(k, 12) for k in range(24 * 6)
+        ]
 
     def test_too_small(self):
         with pytest.raises(DimensionError):

@@ -5,7 +5,8 @@
 PARENT_SRC and CHANGE_SRC are source checkouts (a directory holding
 src/locland, or the src directory itself).  Every CLI invocation of every
 workload in locbench/workloads.py runs once per seed against each tree, one
-process at a time, into a temporary directory.  Every file the two runs
+process at a time, into a temporary directory; so, once, does each of
+EXTRA_INVOCATIONS.  Every file the two runs
 write is compared byte for byte, except manifest.json (it records wall time
 and peak RSS).  Files that differ, exist on one side only, or come from
 runs with different exit codes are printed; the exit code is 1 if there is
@@ -24,6 +25,20 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 EXCLUDED = {"manifest.json"}
+
+#: fixed runs on the routes no workload reaches: the SVD branch of
+#: factorize and eig_general (odd and t_left t_right < 0 hn chains, the
+#: bounds models) and a three-point cdt-mono sweep
+EXTRA_INVOCATIONS = {
+    "hn-odd": ["hn", "--set", "n_sites=41", "--set", "r_count=5"],
+    "hn-negative-r": [
+        "hn", "--set", "n_sites=40", "--set", "r_min=-1.3", "--set", "r_max=-0.7",
+        "--set", "r_count=5",
+    ],
+    "bounds-hn": ["bounds", "--set", "model=hn", "--set", "n_sites=40"],
+    "bounds-diag": ["bounds", "--set", "model=diag", "--set", "epsilon=1e-7"],
+    "cdt-mono-small": ["cdt-mono", "--set", "amp_count=3", "--set", "truncation=2"],
+}
 
 
 def load_workloads() -> dict:
@@ -55,27 +70,34 @@ def outputs(out_dir: Path) -> dict:
     return {p.name: p.read_bytes() for p in out_dir.iterdir() if p.name not in EXCLUDED}
 
 
-def compare(parent: Path, change: Path, seeds: list, scratch: Path) -> list:
-    """(label, file, reason) for every output that differs between the two trees."""
-    differences = []
+def invocations(seeds: list):
+    """(label, argv for an output directory) of every run the comparison makes."""
     for seed in seeds:
         for name, make in load_workloads().items():
             for inv in make(seed).invocations:
-                label = f"seed {seed} {name}/{inv.tag}"
-                codes, files = [], []
-                for side, src in (("parent", parent), ("change", change)):
-                    out_dir = scratch / f"{seed}-{name}-{inv.tag}-{side}"
-                    codes.append(run(src, inv.argv(out_dir)))
-                    files.append(outputs(out_dir))
-                if codes[0] != codes[1]:
-                    differences.append((label, "-", f"exit code {codes[0]} != {codes[1]}"))
-                for file in sorted(files[0].keys() | files[1].keys()):
-                    if file not in files[0] or file not in files[1]:
-                        side = "parent" if file in files[0] else "change"
-                        differences.append((label, file, f"written by the {side} tree only"))
-                    elif files[0][file] != files[1][file]:
-                        differences.append((label, file, "contents differ"))
-                print(f"{label}: {len(files[1])} files, exit {codes[1]}", file=sys.stderr)
+                yield f"seed {seed} {name}/{inv.tag}", inv.argv
+    for tag, args in EXTRA_INVOCATIONS.items():
+        yield f"extra {tag}", lambda out_dir, args=args: [*args, "--out", str(out_dir)]
+
+
+def compare(parent: Path, change: Path, seeds: list, scratch: Path) -> list:
+    """(label, file, reason) for every output that differs between the two trees."""
+    differences = []
+    for k, (label, argv) in enumerate(invocations(seeds)):
+        codes, files = [], []
+        for side, src in (("parent", parent), ("change", change)):
+            out_dir = scratch / f"{k}-{side}"
+            codes.append(run(src, argv(out_dir)))
+            files.append(outputs(out_dir))
+        if codes[0] != codes[1]:
+            differences.append((label, "-", f"exit code {codes[0]} != {codes[1]}"))
+        for file in sorted(files[0].keys() | files[1].keys()):
+            if file not in files[0] or file not in files[1]:
+                side = "parent" if file in files[0] else "change"
+                differences.append((label, file, f"written by the {side} tree only"))
+            elif files[0][file] != files[1][file]:
+                differences.append((label, file, "contents differ"))
+        print(f"{label}: {len(files[1])} files, exit {codes[1]}", file=sys.stderr)
     return differences
 
 
