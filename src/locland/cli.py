@@ -99,12 +99,15 @@ def resolve_config(experiment: str, args) -> RunConfig:
     )
 
 
-#: smallest value of each count key: points of a swept axis (cdt-mono
-#: detects peaks on three) and RK4 steps per drive period
+#: smallest value of each count key: points of a swept axis (cdt-mono detects
+#: peaks on three), RK4 steps per period of the fastest tone, periods, stride
 _COUNT_MINIMA = {
     "hn": {"r_count": 2},
     "cdt-mono": {"amp_count": 3, "steps_per_period": MIN_STEPS_PER_PERIOD},
-    "cdt-duo": {"a_count": 2, "b_count": 2, "steps_per_period": MIN_STEPS_PER_PERIOD},
+    "cdt-duo": {
+        "a_count": 2, "b_count": 2, "n_periods": 1, "traj_stride": 1,
+        "steps_per_period": MIN_STEPS_PER_PERIOD,
+    },
     "aah": {"omega_count": 2},
 }
 

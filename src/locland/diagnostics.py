@@ -1,8 +1,8 @@
 """Reference observables the landscape is validated against.
 
-Eigenstate densities, participation ratios, folded quasienergy histograms,
-rank/linear correlation statistics, peak detection for sweep curves, and
-the midgap-mode report used by the topology experiments.  SweepReport is
+Eigenstate densities, folded quasienergy histograms, rank/linear
+correlation statistics, peak detection for sweep curves, and the
+midgap-mode report used by the topology experiments.  SweepReport is
 the common container every experiment serializes; write_csv and write_json
 are the one writer of each file format.
 """
@@ -160,7 +160,6 @@ class MidgapMode:
     energy: complex
     weight: np.ndarray  # |psi_j|^2, sums to 1
     argmax_site: int  # 1-based peak_site of weight
-    participation: float  # 1 / sum_j w_j^2
 
 
 @dataclass(frozen=True, eq=False)
@@ -210,10 +209,10 @@ def midgap_report(
     records where the landscape of the same H peaks (the peak site of its
     peak_profile), which is the colocalization cross-reference used by the
     topology experiments.  Modes and landscape come from the one
-    factorization of H inside solve_landscape; a non-Hermitian H raises
-    HermiticityError.
+    factorization of H inside solve_landscape, with any imaginary gauge
+    dropped; a non-Hermitian H raises HermiticityError.
     """
-    landscape = solve_landscape(op, rcond)
+    landscape = solve_landscape(op if op.log_gauge is None else Operator(op.entries), rcond)
     energies = landscape.spectrum.energies
     if energies is None:
         raise HermiticityError("midgap_report requires an exactly Hermitian operator")
@@ -230,7 +229,6 @@ def midgap_report(
                 energy=complex(energies[k]),
                 weight=weight,
                 argmax_site=peak_site(weight),
-                participation=float(1.0 / (weight @ weight)),
             )
         )
     return MidgapReport(

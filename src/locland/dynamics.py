@@ -212,20 +212,16 @@ def propagate(
     if stride < 1:
         raise ValueError("stride must be >= 1")
     amps, freqs, psi, dt = _batch(drive.amplitudes, drive.frequencies, psi0, dt)
-    n_full, last = _step_plan(t_end, dt)
-    n_steps = n_full + 1 + (last > 0.0)
-    times = np.empty(-(-n_steps // stride))
-    states = np.empty(times.shape + psi.shape, dtype=complex)
     k = 0  # step index of the block's first row
+    times, states = [], []
     drift = 0.0
     for t, block in _evolve(psi, t_end, dt, drive.j_coupling, amps, freqs):
-        first = -(-k // stride)
-        keep = slice(first * stride - k, None, stride)
-        n_kept = len(t[keep])
-        times[first : first + n_kept] = t[keep]
-        states[first : first + n_kept] = block[keep]
+        # copies, so a kept view does not hold its whole block alive
+        times.append(t[-k % stride :: stride].copy())
+        states.append(block[-k % stride :: stride].copy())
         drift = max(drift, _norm_drift(block))
         k += len(t)
+    times, states = np.concatenate(times), np.concatenate(states)
     if np.ndim(psi0) == 1 and np.ndim(drive.amplitudes) == 1:
         states = states[:, 0]
     p_left = np.abs(states[..., 0]) ** 2

@@ -323,7 +323,7 @@ def run_cdt_duo(config: RunConfig) -> SweepReport:
     table = _grid_map(lambda pair: _cdt_duo_point(pair, p), grid_pairs)
     vmax = table["v_max_tot"]
 
-    dt = 2.0 * math.pi / omega2 / p["steps_per_period"]
+    dt = 2.0 * math.pi / max(omega1, omega2) / p["steps_per_period"]
     amp_pairs = np.array(grid_pairs) * omega1
     psi_left = np.array([1.0, 0.0], dtype=complex)
     min_pl, grid_drift = min_left_population_grid(
@@ -609,13 +609,13 @@ def _bounds_model(config: RunConfig) -> Operator:
         hop = -0.5 * np.ones(d - 1)
         m[np.arange(d - 1), np.arange(1, d)] = hop
         m[np.arange(1, d), np.arange(d - 1)] = hop
-        return Operator(m, label="random_hermitian_pd")
+        return Operator(m)
     if name == "hn":
         chain = hatano_nelson(p["n_sites"], p["t_left"], p["r"] * p["t_left"])
-        return Operator(chain.entries, label=chain.label)
+        return Operator(chain.entries)
     if name == "diag":
         d = p["dimension"]
-        return Operator(np.diag([p["epsilon"]] + [1.0] * (d - 1)), label="diag_epsilon")
+        return Operator(np.diag([p["epsilon"]] + [1.0] * (d - 1)))
     raise ConfigError(f"unknown bounds model {name!r}; choose hermitian_pd, hn or diag")
 
 

@@ -31,7 +31,7 @@ HERMITICITY_RTOL = 1e-10
 
 @dataclass(frozen=True, eq=False)
 class Operator:
-    """Square matrix with a provenance label and an optional imaginary gauge.
+    """Square matrix with an optional imaginary gauge.
 
     Entries are copied to a read-only array that is float64 when every
     entry is exactly real (ints, bools and complex input with an all-zero
@@ -46,7 +46,6 @@ class Operator:
     """
 
     entries: np.ndarray
-    label: str = ""
     log_gauge: np.ndarray | None = None
 
     def __post_init__(self):
@@ -114,7 +113,7 @@ def normal_operator(op: Operator) -> Operator:
     m = op.entries
     out = m.conj().T @ m
     out = 0.5 * (out + out.conj().T)
-    return Operator(out, label=f"normal({op.label})" if op.label else "normal")
+    return Operator(out)
 
 
 def factorize(op: Operator) -> Spectrum:
@@ -144,7 +143,7 @@ def gauge_eigh(op: Operator) -> EigResult:
     """
     g = op.log_gauge
     if g is None:
-        raise ValueError(f"operator {op.label!r} carries no gauge")
+        raise ValueError("operator carries no gauge")
     rows, cols = np.nonzero(op.entries)
     t = np.zeros_like(op.entries)
     t[rows, cols] = op.entries[rows, cols] * np.exp(g[cols] - g[rows])

@@ -109,9 +109,7 @@ def hatano_nelson(n_sites: int, t_left: float, t_right: float) -> Operator:
     gauge = None
     if n_sites % 2 == 0 and t_left * t_right > 0.0:
         gauge = 0.5 * math.log(t_right / t_left) * (np.arange(n_sites) - 0.5 * (n_sites - 1))
-    return Operator(
-        m, label=f"hatano_nelson(N={n_sites},tL={t_left},tR={t_right})", log_gauge=gauge
-    )
+    return Operator(m, log_gauge=gauge)
 
 
 def aah_static(n_sites: int, hopping: float, lambda0: float, alpha: float, theta: float = 0.0) -> Operator:
@@ -122,7 +120,7 @@ def aah_static(n_sites: int, hopping: float, lambda0: float, alpha: float, theta
     """
     onsite = lambda0 * np.cos(2.0 * np.pi * alpha * np.arange(1, n_sites + 1) + theta)
     m = _open_chain("aah_static", n_sites, -hopping, -hopping, onsite)
-    return Operator(m, label=f"aah(N={n_sites},J={hopping},lam0={lambda0})")
+    return Operator(m)
 
 
 def aah_drive(n_sites: int, amplitude: float, alpha: float, theta: float = 0.0) -> FourierDrive:
@@ -136,7 +134,7 @@ def aah_drive(n_sites: int, amplitude: float, alpha: float, theta: float = 0.0) 
         raise DimensionError("aah_drive needs n_sites >= 1")
     sites = np.arange(1, n_sites + 1)
     diag = np.diag(0.5 * amplitude * np.cos(2.0 * np.pi * alpha * sites + theta))
-    block = Operator(diag, label="aah_drive_block")
+    block = Operator(diag)
     return FourierDrive(blocks={1: block, -1: block}, base_dim=n_sites)
 
 
@@ -145,7 +143,7 @@ def two_level_static(j_coupling: float) -> Operator:
     if j_coupling <= 0.0:
         raise ValueError("two_level_static needs J > 0")
     m = np.array([[0.0, -j_coupling], [-j_coupling, 0.0]])
-    return Operator(m, label=f"two_level(J={j_coupling})")
+    return Operator(m)
 
 
 def two_level_drive_mono(amplitude: float) -> FourierDrive:
@@ -156,7 +154,7 @@ def two_level_drive_mono(amplitude: float) -> FourierDrive:
     """
     if amplitude < 0.0:
         raise ValueError("drive amplitude must be >= 0")
-    block = Operator(0.25 * amplitude * _SIGMA_Z, label="two_level_mono_block")
+    block = Operator(0.25 * amplitude * _SIGMA_Z)
     return FourierDrive(blocks={1: block, -1: block}, base_dim=2)
 
 
@@ -168,8 +166,8 @@ def two_level_drive_duo(a_amplitude: float, b_amplitude: float) -> FourierDrive:
     """
     if a_amplitude < 0.0 or b_amplitude < 0.0:
         raise ValueError("drive amplitudes must be >= 0")
-    block_a = Operator(0.25 * a_amplitude * _SIGMA_Z, label="two_level_duo_block_a")
-    block_b = Operator(0.25 * b_amplitude * _SIGMA_Z, label="two_level_duo_block_b")
+    block_a = Operator(0.25 * a_amplitude * _SIGMA_Z)
+    block_b = Operator(0.25 * b_amplitude * _SIGMA_Z)
     return FourierDrive(
         blocks={(1, 0): block_a, (-1, 0): block_a, (0, 1): block_b, (0, -1): block_b},
         base_dim=2,
@@ -205,7 +203,7 @@ def ssh(config: SshConfig) -> Operator:
         bonds[(b % 2 == 1) & (b <= wall - 2)] = strong
         bonds[(b % 2 == 0) & (b >= wall + 1)] = strong
     m = _open_chain("ssh", n_sites, -bonds, -bonds)
-    return Operator(m, label=f"ssh({config.variant},n_cells={config.n_cells})")
+    return Operator(m)
 
 
 def bbh(n_x: int, n_y: int, gamma: float, lam: float) -> Operator:
@@ -228,7 +226,7 @@ def bbh(n_x: int, n_y: int, gamma: float, lam: float) -> Operator:
     ty = np.where(j % 2 == 1, gamma, lam)
     m[x, x + 1] = m[x + 1, x] = tx[x]
     m[y, y + lx] = m[y + lx, y] = ty[y]
-    return Operator(m, label=f"bbh({n_x}x{n_y},gamma={gamma},lam={lam})")
+    return Operator(m)
 
 
 def bbh_site_coords(flat_index, n_x: int):

@@ -100,9 +100,8 @@ def build_sambe(h0: Operator, drive: FourierDrive, omegas, truncations) -> Sambe
     Diagonal sectors hold h0 + (m . omega) I; sector (m, m - delta) holds the
     drive block keyed by delta (an int for one tone, an N-tuple otherwise).
     The lift is real when h0 and every drive block are real.
-    Drive harmonics that couple no pair of retained sectors are dropped and
-    noted in the matrix label.  A key with the wrong number of tones raises
-    DimensionError.
+    A drive harmonic that couples no pair of retained sectors adds nothing.
+    A key with the wrong number of tones raises DimensionError.
     """
     omegas = tuple(omegas)
     truncations = tuple(truncations)
@@ -120,23 +119,15 @@ def build_sambe(h0: Operator, drive: FourierDrive, omegas, truncations) -> Sambe
     diag = np.arange(s)
     shifts = sum(harmonics[:, i] * w for i, w in enumerate(omegas))
     mat[diag, :, diag, :] = h0.entries + shifts[:, None, None] * np.eye(n, dtype=dtype)
-    dropped = []
     for key, block in drive.blocks.items():
         delta = np.atleast_1d(key)
         if delta.shape != (len(omegas),):
             raise DimensionError(f"drive key {key!r} does not name {len(omegas)} tones")
         target = harmonics - delta
         inside = np.all(np.abs(target) <= truncations, axis=1)
-        if not inside.any():
-            dropped.append(key)
-            continue
         mat[diag[inside], :, index_map.sectors(target[inside]), :] += block.entries
-
-    label = f"sambe(M={truncations},omega={omegas})"
-    if dropped:
-        label += f" truncated_harmonics={sorted(dropped)}"
     return SambeOperator(
-        matrix=Operator(mat.reshape(index_map.flat_dim, index_map.flat_dim), label=label),
+        matrix=Operator(mat.reshape(index_map.flat_dim, index_map.flat_dim)),
         index_map=index_map,
     )
 

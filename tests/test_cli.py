@@ -184,6 +184,8 @@ class TestCliExitCodes:
             # rejected at resolve time, before the Sambe grid runs
             ("cdt-mono", ["steps_per_period=0"]),
             ("cdt-duo", ["steps_per_period=0"]),
+            ("cdt-duo", ["traj_stride=0"]),
+            ("cdt-duo", ["n_periods=0"]),
         ],
     )
     def test_out_of_range_value_exits_2(self, experiment, args, tmp_path, capsys):
@@ -211,6 +213,17 @@ class TestCliExitCodes:
         )
         assert code == 3
         assert "FAIL" in capsys.readouterr().err
+
+    def test_cdt_duo_slow_second_tone_exits_0(self, tmp_path):
+        # steps_per_period counts steps of the fastest tone, here omega1 = 10
+        args = ["omega2_ratio=0.5", "steps_per_period=300", "a_count=2", "b_count=2",
+                "amp_max=2", "truncation1=1", "truncation2=1", "n_periods=1"]
+        code = run_cli(["cdt-duo", "--out", str(tmp_path)] + [x for a in args for x in ("--set", a)])
+        assert code == 0
+        with open(tmp_path / "trajectory_localized_left.csv") as fh:
+            rows = list(csv.reader(fh))
+        # every traj_stride = 100th step is written
+        assert float(rows[2][0]) == pytest.approx(100 * 2.0 * math.pi / 10.0 / 300)
 
     def test_cdt_duo_norm_drift_exits_3(self, tmp_path, capsys):
         # the coarsest allowed step at A / omega1 = 10 drifts about 3e-5
@@ -362,7 +375,7 @@ class TestEndToEnd:
         written = len((tmp_path / "trajectory_localized_left.csv").read_text().splitlines()) - 1
         assert stored == [written]
         p = config.params
-        dt = 2.0 * math.pi / (p["omega2_ratio"] * p["omega1"]) / p["steps_per_period"]
+        dt = 2.0 * math.pi / (max(1.0, p["omega2_ratio"]) * p["omega1"]) / p["steps_per_period"]
         n_steps = math.ceil(p["n_periods"] * 2.0 * math.pi / p["omega1"] / dt)
         assert written == len(range(0, n_steps + 1, p["traj_stride"]))
 
@@ -613,7 +626,7 @@ class TestOneRk4Pass:
         config.params.update(a_count=3, b_count=2, truncation1=1, truncation2=1, n_periods=1)
         run_cdt_duo(config)
         p = config.params
-        dt = 2.0 * math.pi / (p["omega2_ratio"] * p["omega1"]) / p["steps_per_period"]
+        dt = 2.0 * math.pi / (max(1.0, p["omega2_ratio"]) * p["omega1"]) / p["steps_per_period"]
         n_steps = math.ceil(p["n_periods"] * 2.0 * math.pi / p["omega1"] / dt)
         passes = [(rows, sum(n for _, n in run)) for rows, run in groupby(blocks, key=itemgetter(0))]
         assert passes == [(6, n_steps), (4, n_steps)]

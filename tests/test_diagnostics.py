@@ -9,6 +9,7 @@ import scipy.stats
 from locland import (
     DegenerateInputError,
     DimensionError,
+    HermiticityError,
     Operator,
     SshConfig,
     SweepReport,
@@ -272,7 +273,6 @@ class TestMidgapReport:
         for mode in report.modes:
             assert min(abs(mode.argmax_site - e) for e in ends) <= 3
             assert abs(mode.energy) < 1e-3
-            assert mode.participation > 1.0
         assert min(abs(report.landscape_argmax_site - e) for e in ends) <= 3
 
     @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
@@ -294,6 +294,13 @@ class TestMidgapReport:
         for mode in report.modes:
             coords = bbh_site_coords(mode.argmax_site - 1, 6)
             assert min(max(abs(coords[0] - c[0]), abs(coords[1] - c[1])) for c in corners) <= 1
+
+    def test_gauge_is_dropped(self):
+        # an even Hatano-Nelson chain carries an imaginary gauge; r = 1 is Hermitian
+        report = midgap_report(hatano_nelson(20, 1.0, 1.0))
+        assert report.landscape.spectrum.energies is not None
+        with pytest.raises(HermiticityError):
+            midgap_report(hatano_nelson(20, 1.0, 1.3))
 
     def test_explicit_window(self):
         report = midgap_report(Operator(np.diag([0.05, -0.2, 1.0])), energy_window=0.1)

@@ -28,7 +28,8 @@ EXCLUDED = {"manifest.json"}
 
 #: fixed runs on the routes no workload reaches: the SVD branch of
 #: factorize and eig_general (odd and t_left t_right < 0 hn chains, the
-#: bounds models) and a three-point cdt-mono sweep
+#: bounds models), a three-point cdt-mono sweep and a cdt-duo plane whose
+#: second tone is the slower one
 EXTRA_INVOCATIONS = {
     "hn-odd": ["hn", "--set", "n_sites=41", "--set", "r_count=5"],
     "hn-negative-r": [
@@ -38,6 +39,10 @@ EXTRA_INVOCATIONS = {
     "bounds-hn": ["bounds", "--set", "model=hn", "--set", "n_sites=40"],
     "bounds-diag": ["bounds", "--set", "model=diag", "--set", "epsilon=1e-7"],
     "cdt-mono-small": ["cdt-mono", "--set", "amp_count=3", "--set", "truncation=2"],
+    "cdt-duo-slow-second-tone": [
+        "cdt-duo", "--set", "omega2_ratio=0.5", "--set", "a_count=3", "--set", "b_count=3",
+        "--set", "truncation1=2", "--set", "truncation2=2", "--set", "n_periods=2",
+    ],
 }
 
 
