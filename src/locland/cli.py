@@ -25,7 +25,6 @@ import numpy as np
 
 from . import __version__
 from .diagnostics import write_json
-from .dynamics import MIN_STEPS_PER_PERIOD
 from .errors import AccuracyError, ConfigError
 from .experiments import RUNNERS, SCHEMAS, RunConfig
 
@@ -87,7 +86,9 @@ def resolve_config(experiment: str, args) -> RunConfig:
                     f"valid keys: {', '.join(sorted(schema))}"
                 )
             params[key] = _cast_value(key, raw, type(schema[key].default))
-    _validate_counts(experiment, params)
+    for key, entry in schema.items():
+        if entry.minimum is not None and params[key] < entry.minimum:
+            raise ConfigError(f"key {key!r} must be at least {entry.minimum}, got {params[key]}")
     if args.workers < 1:
         raise ConfigError(f"--workers must be at least 1, got {args.workers}")
     return RunConfig(
@@ -97,25 +98,6 @@ def resolve_config(experiment: str, args) -> RunConfig:
         workers=args.workers,
         seed=args.seed,
     )
-
-
-#: smallest value of each count key: points of a swept axis (cdt-mono detects
-#: peaks on three), RK4 steps per period of the fastest tone, periods, stride
-_COUNT_MINIMA = {
-    "hn": {"r_count": 2},
-    "cdt-mono": {"amp_count": 3, "steps_per_period": MIN_STEPS_PER_PERIOD},
-    "cdt-duo": {
-        "a_count": 2, "b_count": 2, "n_periods": 1, "traj_stride": 1,
-        "steps_per_period": MIN_STEPS_PER_PERIOD,
-    },
-    "aah": {"omega_count": 2},
-}
-
-
-def _validate_counts(experiment: str, params: dict) -> None:
-    for key, minimum in _COUNT_MINIMA.get(experiment, {}).items():
-        if params[key] < minimum:
-            raise ConfigError(f"key {key!r} must be at least {minimum}, got {params[key]}")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -26,6 +26,7 @@ from .diagnostics import (
     write_csv,
 )
 from .dynamics import (
+    MIN_STEPS_PER_PERIOD,
     DriveSignal,
     min_left_population_grid,
     monodromy_quasienergies_sweep,
@@ -56,9 +57,15 @@ SQRT2 = math.sqrt(2.0)
 
 @dataclass(frozen=True)
 class Field:
-    """A config key's default; text given for the key is parsed as type(default)."""
+    """A config key's default and, for counts, its smallest value.
+
+    Text given for the key is parsed as type(default).  The counts with a
+    minimum are the points of a swept axis (cdt-mono detects peaks on
+    three), RK4 steps per period of the fastest tone, periods and stride.
+    """
 
     default: object
+    minimum: int | None = None
 
 
 @dataclass
@@ -83,7 +90,7 @@ SCHEMAS = {
         "t_left": Field(1.0),
         "r_min": Field(0.7),
         "r_max": Field(1.3),
-        "r_count": Field(25),
+        "r_count": Field(25, minimum=2),
         # unused on the gauge route (even n_sites), which is exact; odd
         # chains take the cutoff route, where the skin-effect singular
         # values must stay in the solve (they carry the boundary physics)
@@ -94,11 +101,11 @@ SCHEMAS = {
         "omega": Field(10.0),
         "amp_min": Field(0.0),  # amplitudes in units of A / (hbar omega)
         "amp_max": Field(10.0),
-        "amp_count": Field(500),
+        "amp_count": Field(500, minimum=3),
         "truncation": Field(6),
         "rcond": Field(1e-12),
         "prominence": Field(0.1),
-        "steps_per_period": Field(2000),
+        "steps_per_period": Field(2000, minimum=MIN_STEPS_PER_PERIOD),
     },
     "cdt-duo": {
         "j_coupling": Field(1.0),
@@ -106,14 +113,14 @@ SCHEMAS = {
         "omega2_ratio": Field(SQRT2),
         "amp_min": Field(0.0),
         "amp_max": Field(10.0),
-        "a_count": Field(21),
-        "b_count": Field(21),
+        "a_count": Field(21, minimum=2),
+        "b_count": Field(21, minimum=2),
         "truncation1": Field(6),
         "truncation2": Field(6),
-        "n_periods": Field(100),
+        "n_periods": Field(100, minimum=1),
         "rcond": Field(1e-12),
-        "steps_per_period": Field(2000),
-        "traj_stride": Field(100),
+        "steps_per_period": Field(2000, minimum=MIN_STEPS_PER_PERIOD),
+        "traj_stride": Field(100, minimum=1),
     },
     "aah": {
         "n_sites": Field(80),
@@ -124,7 +131,7 @@ SCHEMAS = {
         "theta": Field(0.0),
         "omega_min": Field(1.0),
         "omega_max": Field(10.0),
-        "omega_count": Field(60),
+        "omega_count": Field(60, minimum=2),
         "truncation": Field(6),
         "bin_width": Field(0.01),
         "rcond": Field(1e-12),
@@ -234,10 +241,13 @@ def run_hn(config: RunConfig) -> SweepReport:
 def _sambe_point(h0, drive, omegas, truncations, rcond) -> tuple:
     """Build and solve one Sambe lift: the columns every lifted point reports, and the solve."""
     lifted = build_sambe(h0, drive, omegas, truncations)
-    res = solve_landscape(lifted.matrix, rcond, index_map=lifted.index_map)
+    res = solve_landscape(lifted.matrix, rcond)
+    # soft_com is a mean site, so the harmonics are summed out first
+    site_profile = lifted.index_map.site_sum(res.peak_profile)
     return {
         "v_max_tot": res.v_max,
         "sigma_min": res.sigma_min,
+        "soft_com": math.nan if res.degenerate else weighted_mean_site(site_profile),
         "discarded_rank": res.discarded_rank,
         "edge_sector_weight": lifted.index_map.edge_sector_weight(res.amplitude),
     }, res
@@ -320,9 +330,9 @@ def run_cdt_duo(config: RunConfig) -> SweepReport:
     a_us = np.linspace(p["amp_min"], p["amp_max"], p["a_count"])
     b_us = np.linspace(p["amp_min"], p["amp_max"], p["b_count"])
     grid_pairs = [(a, b) for a in a_us for b in b_us]
-    table = _grid_map(lambda pair: _cdt_duo_point(pair, p), grid_pairs)
-    vmax = table["v_max_tot"]
 
+    # the drift-gated min_PL grid runs first, so a too coarse dt fails
+    # before the Sambe grid
     dt = 2.0 * math.pi / max(omega1, omega2) / p["steps_per_period"]
     amp_pairs = np.array(grid_pairs) * omega1
     psi_left = np.array([1.0, 0.0], dtype=complex)
@@ -331,7 +341,9 @@ def run_cdt_duo(config: RunConfig) -> SweepReport:
     )
     if grid_drift > NORM_DRIFT_LIMIT:
         raise AccuracyError(f"min_PL grid drifts from unit norm by {grid_drift:.2e}; reduce dt")
+    table = _grid_map(lambda pair: _cdt_duo_point(pair, p), grid_pairs)
     table["min_PL"] = min_pl
+    vmax = table["v_max_tot"]
     columns = _report_columns(table, "min_PL")
     log_vmax = columns["log10_vmax"]
 
@@ -420,7 +432,6 @@ def _aah_point(omega: float, p: dict) -> dict:
     centers, density = floquet_dos(res.spectrum.energies, omega, p["bin_width"])
     return {
         **columns,
-        "soft_com": res.soft_com,
         "ipr_mean": float(ipr.mean()),
         "ipr_max": float(ipr.max()),
         "dos_centers": centers,

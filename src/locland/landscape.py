@@ -24,7 +24,6 @@ from .linalg import (
     gauge_eigh,
     weighted_mean_site,
 )
-from .sambe import SambeIndexMap
 
 #: slack allowed when validating the norm-bound chain on every solve
 _BOUND_RTOL = 1e-8
@@ -40,12 +39,11 @@ class LandscapeResult:
     v_complex is v in the dtype of the factorization, so it is real for a
     real H; amplitude is |v| over the full space; near_null is |P 1| with P
     the projector on the directions the cutoff discarded (zeros if none);
-    peak_profile is near_null when it is nonzero and amplitude otherwise;
-    soft_com is the peak_profile-weighted mean site (harmonics marginalized
-    out first for extended-space solves).  spectrum is the factorization of
-    H on the generic route; a gauge-route solve has spectrum None and
-    carries the eigendecomposition of the gauge partner T in gauge_eig.
-    Construction validates v_max = max amplitude and norm_bound_chain.
+    soft_com is the peak_profile-weighted mean index of the operator.
+    spectrum is the factorization of H on the generic route; a gauge-route
+    solve has spectrum None and carries the eigendecomposition of the gauge
+    partner T in gauge_eig.  Construction validates v_max = max amplitude
+    and norm_bound_chain.
     """
 
     amplitude: np.ndarray
@@ -55,10 +53,8 @@ class LandscapeResult:
     sigma_min: float
     rcond_used: float
     discarded_rank: int
-    degenerate: bool = False
     spectrum: Spectrum | None = None
     near_null: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    peak_profile: np.ndarray = field(default_factory=lambda: np.zeros(0))
     gauge_eig: EigResult | None = None
 
     def __post_init__(self):
@@ -68,6 +64,16 @@ class LandscapeResult:
             raise AccuracyError("v_max does not equal max |v_j|")
         if self.norm_bound_chain is False:
             raise AccuracyError("norm bound chain v_max <= ||v||_2 <= sqrt(d)/sigma_min^2 violated")
+
+    @property
+    def degenerate(self) -> bool:
+        """Whether the cutoff discarded every direction, leaving v = 0."""
+        return self.discarded_rank == self.amplitude.size
+
+    @property
+    def peak_profile(self) -> np.ndarray:
+        """near_null when the discarded directions carry 1, amplitude otherwise."""
+        return _peak_profile(self.near_null, self.amplitude)
 
     @property
     def norm2(self) -> float:
@@ -87,11 +93,11 @@ class LandscapeResult:
         return bool(self.v_max <= l2 * slack and l2 <= cap * slack)
 
 
-def solve_landscape(
-    op: Operator,
-    rcond: float = DEFAULT_RCOND,
-    index_map: SambeIndexMap | None = None,
-) -> LandscapeResult:
+def _peak_profile(near_null: np.ndarray, amplitude: np.ndarray) -> np.ndarray:
+    return near_null if near_null.any() else amplitude
+
+
+def solve_landscape(op: Operator, rcond: float = DEFAULT_RCOND) -> LandscapeResult:
     """Solve H^dag H v = 1 with a spectral cutoff at rcond * sigma_max^2.
 
     An operator that carries an imaginary gauge (Operator.log_gauge) is
@@ -113,47 +119,44 @@ def solve_landscape(
     1, which is what near_null records and what peak_profile and soft_com
     then follow.
 
-    For extended-space operators pass the index map so the soft center of
-    mass is taken over sites after summing across harmonic sectors.
     A fully degenerate H (all singular values below the cutoff) yields the
-    zero vector with the degenerate flag set.
+    zero vector, degenerate set and soft_com NaN.
     """
     if not 0.0 < rcond < 1.0:
         raise ValueError(f"rcond must lie in (0, 1), got {rcond}")
+    spectrum = eig = None
     if op.log_gauge is not None:
-        return _solve_gauged(op, rcond, index_map)
-    spectrum = factorize(op)
-    sigma = spectrum.sigma
-    keep = sigma**2 > rcond * sigma.max() ** 2
-    kept = int(np.count_nonzero(keep))
-    ones = np.ones(op.dim)
-    dropped = spectrum.right[:, ~keep]
-    near_null = np.abs(dropped @ (dropped.conj().T @ ones))
-    right = spectrum.right[:, keep]
-    v = right @ ((right.conj().T @ ones) / sigma[keep] ** 2)
+        eig = gauge_eigh(op)
+        v, sigma_min = _solve_gauged(op, eig)
+        kept, near_null = op.dim, np.zeros(op.dim)
+    else:
+        spectrum = factorize(op)
+        sigma = spectrum.sigma
+        keep = sigma**2 > rcond * sigma.max() ** 2
+        kept = int(np.count_nonzero(keep))
+        ones = np.ones(op.dim)
+        dropped = spectrum.right[:, ~keep]
+        near_null = np.abs(dropped @ (dropped.conj().T @ ones))
+        right = spectrum.right[:, keep]
+        v = right @ ((right.conj().T @ ones) / sigma[keep] ** 2)
+        sigma_min = float(sigma.min())
     amplitude = np.abs(v)
-    peak = near_null if near_null.any() else amplitude
     return LandscapeResult(
         amplitude=amplitude,
         v_complex=v,
         v_max=float(amplitude.max()),
-        soft_com=float("nan") if kept == 0 else _soft_com(peak, index_map),
-        sigma_min=float(sigma.min()),
+        soft_com=weighted_mean_site(_peak_profile(near_null, amplitude)) if kept else math.nan,
+        sigma_min=sigma_min,
         rcond_used=rcond,
         discarded_rank=op.dim - kept,
-        degenerate=kept == 0,
         spectrum=spectrum,
         near_null=near_null,
-        peak_profile=peak,
+        gauge_eig=eig,
     )
 
 
-def _soft_com(profile: np.ndarray, index_map: SambeIndexMap | None) -> float:
-    return weighted_mean_site(profile if index_map is None else index_map.site_sum(profile))
-
-
-def _solve_gauged(op: Operator, rcond: float, index_map: SambeIndexMap | None) -> LandscapeResult:
-    """Exact landscape of H = D T D^-1 from one eigh of the symmetric T.
+def _solve_gauged(op: Operator, eig: EigResult) -> tuple:
+    """(v, sigma_min) of H = D T D^-1 from eig, the eigh of the symmetric T.
 
     With T = Phi Lambda Phi^T, H^-1 = D T^-1 D^-1 is formed explicitly and
     A = H^-1 H^-T = (H^dag H)^-1, so v = A 1 is the row sums of A and
@@ -166,7 +169,6 @@ def _solve_gauged(op: Operator, rcond: float, index_map: SambeIndexMap | None) -
     singular, the solve raises AccuracyError rather than return inf or
     noise.
     """
-    eig = gauge_eigh(op)
     lam = np.abs(eig.values)
     lam_min = float(lam.min())  # 1 / ||T^-1||
     if lam_min <= op.dim * np.finfo(float).eps * lam.max():
@@ -183,20 +185,7 @@ def _solve_gauged(op: Operator, rcond: float, index_map: SambeIndexMap | None) -
     t_inv = (eig.vectors / eig.values) @ eig.vectors.T
     h_inv = t_inv * np.exp(g[:, None] - g[None, :])
     a = h_inv @ h_inv.T
-    v = a.sum(axis=1)
-    amplitude = np.abs(v)
-    return LandscapeResult(
-        amplitude=amplitude,
-        v_complex=v,
-        v_max=float(amplitude.max()),
-        soft_com=_soft_com(amplitude, index_map),
-        sigma_min=1.0 / math.sqrt(float(np.linalg.eigvalsh(a)[-1])),
-        rcond_used=rcond,
-        discarded_rank=0,
-        near_null=np.zeros(op.dim),
-        peak_profile=amplitude,
-        gauge_eig=eig,
-    )
+    return a.sum(axis=1), 1.0 / math.sqrt(float(np.linalg.eigvalsh(a)[-1]))
 
 
 def eigenmode_bound_report(result: LandscapeResult) -> list:
@@ -212,7 +201,7 @@ def eigenmode_bound_report(result: LandscapeResult) -> list:
     generic route has: solve a gauge-carrying operator as
     Operator(op.entries) to report on it.
     """
-    if result.degenerate or result.discarded_rank > 0:
+    if result.discarded_rank > 0:
         raise DegenerateInputError(
             "eigenmode bound needs sigma_min above the pseudoinverse cutoff"
         )
@@ -221,11 +210,9 @@ def eigenmode_bound_report(result: LandscapeResult) -> list:
             "eigenmode bound needs the singular vectors of H; a gauge-route solve has none"
         )
     spectrum = result.spectrum
-    report = []
-    for k, col in enumerate(np.argsort(spectrum.sigma, kind="stable")):
-        lam = float(spectrum.sigma[col]) ** 2
-        phi = np.abs(spectrum.right[:, col])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratios = phi / (lam * phi.max() * result.amplitude)
-        report.append((k, float(np.nanmax(ratios))))
-    return report
+    order = np.argsort(spectrum.sigma, kind="stable")
+    lam = np.float_power(spectrum.sigma[order], 2)
+    phi = np.abs(spectrum.right[:, order])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = phi / (lam * phi.max(axis=0) * result.amplitude[:, None])
+    return list(enumerate(np.nanmax(ratios, axis=0).tolist()))

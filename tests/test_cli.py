@@ -14,7 +14,7 @@ from locland import dynamics, experiments
 from locland.cli import load_config_file, main, resolve_config
 from locland.diagnostics import floquet_dos
 from locland.dynamics import propagate
-from locland.errors import ConfigError
+from locland.errors import AccuracyError, ConfigError
 from locland.experiments import (
     SCHEMAS,
     RunConfig,
@@ -26,6 +26,7 @@ from locland.experiments import (
     run_cdt_duo,
     run_ssh,
 )
+from locland.sambe import build_sambe
 
 from oracles import hatano_nelson_mp_reference
 
@@ -127,6 +128,7 @@ class TestConfigResolution:
             for key, entry in schema.items():
                 assert type(params[key]) is type(entry.default), (name, key)
                 assert params[key] == entry.default, (name, key)
+                assert entry.minimum is None or entry.default >= entry.minimum, (name, key)
         Args.set = ["t_left=2"]
         t_left = resolve_config("hn", Args()).params["t_left"]
         assert type(t_left) is float and t_left == 2.0
@@ -243,6 +245,24 @@ class TestCliExitCodes:
         assert code == 3
         assert "min_PL grid drifts from unit norm" in capsys.readouterr().err
         assert not list(tmp_path.glob("trajectory_*.csv"))
+
+    def test_cdt_duo_grid_drift_fails_before_sambe_grid(self, tmp_path, monkeypatch):
+        # a slow second tone at 300 steps per period of the faster one passes
+        # the resolve-time floor, but the min_PL grid drifts about 2e-5; no
+        # lift is built before that gate
+        lifts = []
+
+        def counted(*args):
+            lifts.append(args)
+            return build_sambe(*args)
+
+        monkeypatch.setattr(experiments, "build_sambe", counted)
+        config = TestOneFactorization.default_config("cdt-duo", tmp_path)
+        config.params.update(omega2_ratio=0.5, steps_per_period=300, a_count=2, b_count=2,
+                             truncation1=1, truncation2=1, n_periods=1)
+        with pytest.raises(AccuracyError, match="min_PL grid drifts"):
+            run_cdt_duo(config)
+        assert len(lifts) == 0
 
     def test_aah_dos_contract_exits_3(self, tmp_path, monkeypatch, capsys):
         def off_by_1e9(*args, **kwargs):

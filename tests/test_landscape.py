@@ -11,8 +11,9 @@ from locland import (
     HermiticityError,
     LandscapeResult,
     Operator,
-    SambeIndexMap,
     SshConfig,
+    aah_drive,
+    aah_static,
     average_right_density,
     domain_wall_site,
     eigenmode_bound_report,
@@ -22,6 +23,7 @@ from locland import (
     solve_landscape,
     ssh,
 )
+from locland.experiments import _sambe_point
 from locland.linalg import weighted_mean_site
 
 from conftest import random_complex, random_hermitian_pd
@@ -77,19 +79,23 @@ class TestSolveLandscape:
         assert edge in (1, 200)
         assert abs(res.soft_com - edge) <= 10.0
 
-    def test_site_marginalized_soft_com(self, rng):
-        index_map = SambeIndexMap(base_dim=4, truncations=(1,))
-        m = random_hermitian_pd(rng, index_map.flat_dim)
-        res = solve_landscape(Operator(m), index_map=index_map)
-        weights = res.amplitude.reshape(3, 4).sum(axis=0)
-        expected = (np.arange(1, 5) @ weights) / weights.sum()
-        assert res.soft_com == pytest.approx(expected, rel=1e-12)
+    def test_site_marginalized_soft_com(self):
+        # a lifted point's soft_com is the mean site after the harmonic sum
+        h0 = aah_static(5, 1.0, 2.8, 0.618)
+        columns, res = _sambe_point(h0, aah_drive(5, 3.7, 0.618), (2.5,), (1,), 1e-12)
+        assert res.discarded_rank == 0
+        weights = res.amplitude.reshape(3, 5).sum(axis=0)
+        expected = (np.arange(1, 6) @ weights) / weights.sum()
+        assert columns["soft_com"] == pytest.approx(expected, rel=1e-12)
 
 
 class TestNearNullProfile:
     def test_zero_when_full_rank(self):
-        profile = solve_landscape(Operator(np.eye(4))).near_null
-        assert np.array_equal(profile, np.zeros(4))
+        # a cutoff solve that keeps every direction, and a gauge-route solve
+        for op in (Operator(np.eye(4)), hatano_nelson(20, 1.0, 0.8)):
+            res = solve_landscape(op)
+            assert np.array_equal(res.near_null, np.zeros(op.dim)) and not res.degenerate
+            assert np.array_equal(res.peak_profile, res.amplitude)
 
     def test_matches_kernel_component_of_ones(self):
         # one exact kernel direction: profile = |<k, 1>| |k|

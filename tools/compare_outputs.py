@@ -28,8 +28,9 @@ EXCLUDED = {"manifest.json"}
 
 #: fixed runs on the routes no workload reaches: the SVD branch of
 #: factorize and eig_general (odd and t_left t_right < 0 hn chains, the
-#: bounds models), a three-point cdt-mono sweep and a cdt-duo plane whose
-#: second tone is the slower one
+#: bounds models), a three-point cdt-mono sweep, a cdt-duo plane whose
+#: second tone is the slower one, and an aah lift whose cutoff drops a
+#: direction (discarded_rank 1 at omega = 2.8), so soft_com follows near_null
 EXTRA_INVOCATIONS = {
     "hn-odd": ["hn", "--set", "n_sites=41", "--set", "r_count=5"],
     "hn-negative-r": [
@@ -43,6 +44,7 @@ EXTRA_INVOCATIONS = {
         "cdt-duo", "--set", "omega2_ratio=0.5", "--set", "a_count=3", "--set", "b_count=3",
         "--set", "truncation1=2", "--set", "truncation2=2", "--set", "n_periods=2",
     ],
+    "aah-cutoff": ["aah", "--set", "theta=0.005", "--set", "omega_count=6"],
 }
 
 
