@@ -44,6 +44,7 @@ from .linalg import (
     EigResult,
     Operator,
     PseudoSolveResult,
+    SignedPermutation,
     Spectrum,
     eig_general,
     factorize,

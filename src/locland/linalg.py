@@ -4,7 +4,8 @@ An Operator stores float64 entries when every entry is exactly real and
 complex128 otherwise, and the factorizations run in that dtype, so every
 real model goes through real LAPACK.  Everything downstream works with
 small dense matrices (d <~ 10^4), so the kernel stays deliberately simple:
-the one factorization of H that every landscape observable is read from,
+the one factorization of H that every landscape observable is read from
+(through half-size blocks when H carries a parity and a chiral pairing),
 the eigendecomposition of the symmetric gauge partner of an operator that
 carries an imaginary gauge, right eigenpairs of a general matrix, the
 normal operator H^dag H, a pseudoinverse solve with an explicit spectral
@@ -15,6 +16,7 @@ with the inputs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,8 +32,62 @@ HERMITICITY_RTOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
+class SignedPermutation:
+    """The orthogonal map x -> sign * x[index], applied to the rows of a matrix.
+
+    index must be a fixed-point-free involution of 0..d-1 (it swaps
+    indices in pairs) and every sign +-1; both are copied read-only.
+    """
+
+    index: np.ndarray
+    sign: np.ndarray
+
+    def __post_init__(self):
+        index, sign = np.array(self.index, dtype=np.intp), np.array(self.sign, dtype=float)
+        if index.ndim != 1 or sign.shape != index.shape:
+            raise DimensionError(f"index {index.shape} and sign {sign.shape} must be equal vectors")
+        flat = np.arange(index.size)
+        in_range = np.all((index >= 0) & (index < index.size) & (index != flat))
+        if not (in_range and np.array_equal(index[index], flat) and np.all(np.abs(sign) == 1.0)):
+            raise ValueError("index must be a fixed-point-free involution and every sign +-1")
+        index.setflags(write=False)
+        sign.setflags(write=False)
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "sign", sign)
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        return self.sign[:, None] * x[self.index]
+
+
+def _check_parity_pairing(m: np.ndarray, parity: SignedPermutation, pairing: SignedPermutation):
+    """Raise unless (P, S) = (parity, pairing) are what factorize's paired route relies on.
+
+    Both must act on d = dim(H) indices.  P must square to one and commute
+    with H exactly (P H P^T = H); S must anticommute with H exactly
+    (S H S^T = -H) and with P (S P = -P S).
+    """
+    if parity.index.size != m.shape[0] or pairing.index.size != m.shape[0]:
+        raise DimensionError(f"parity and pairing must act on {m.shape[0]} indices")
+    if not np.all(parity.sign * parity.sign[parity.index] == 1.0):
+        raise ValueError("parity must square to the identity")
+    if not (np.array_equal(parity.index[pairing.index], pairing.index[parity.index])
+            and np.array_equal(pairing.sign * parity.sign[pairing.index],
+                               -parity.sign * pairing.sign[parity.index])):
+        raise ValueError("pairing must anticommute with parity")
+    # M H M^T = +-H, entry (i, j) being sign_i sign_j H[index_i, index_j]; checking
+    # the nonzero entries suffices, since a map that sends every one of them onto
+    # a nonzero entry permutes them, and so sends the zeros onto zeros
+    # (np.flatnonzero of a mask is about 10x faster than np.nonzero(m))
+    rows, cols = divmod(np.flatnonzero(m != 0), m.shape[0])
+    for name, p, factor in (("parity", parity, 1.0), ("pairing", pairing, -1.0)):
+        moved = p.sign[rows] * p.sign[cols] * m[p.index[rows], p.index[cols]]
+        if not np.array_equal(moved, factor * m[rows, cols]):
+            raise ValueError(f"{name} does not map the operator onto {factor:+g} times itself")
+
+
+@dataclass(frozen=True, eq=False)
 class Operator:
-    """Square matrix with an optional imaginary gauge.
+    """Square matrix with an optional imaginary gauge or parity and pairing.
 
     Entries are copied to a read-only array that is float64 when every
     entry is exactly real (ints, bools and complex input with an all-zero
@@ -43,10 +99,17 @@ class Operator:
     carry one).  solve_landscape and average_right_density then read H off
     one eigh of T (gauge_eigh) instead of the SVD and eig_general of H.
     Only a real H can carry a gauge; Operator(op.entries) drops it.
+
+    parity_pairing, when set, is a pair (P, S) of SignedPermutation maps
+    with P H P^T = H and S H S^T = -H exactly, S P = -P S, P^2 = 1 (see
+    _check_parity_pairing, which construction runs).  factorize then reads
+    an exactly Hermitian H off one eigh of its P = +1 block, half the size
+    of H.  The two-level Sambe lifts carry one; Operator(op.entries) drops it.
     """
 
     entries: np.ndarray
     log_gauge: np.ndarray | None = None
+    parity_pairing: tuple | None = None
 
     def __post_init__(self):
         m = np.asarray(self.entries)
@@ -67,6 +130,8 @@ class Operator:
                 raise ValueError("log_gauge must be finite and needs real entries")
             g.setflags(write=False)
             object.__setattr__(self, "log_gauge", g)
+        if self.parity_pairing is not None:
+            _check_parity_pairing(m, *self.parity_pairing)
 
     @property
     def dim(self) -> int:
@@ -121,14 +186,41 @@ def factorize(op: Operator) -> Spectrum:
 
     Exactly Hermitian H goes through eigh, since its right singular vectors
     are its eigenvectors: sigma = |lambda|, in eigh order (ascending
-    lambda).  Any other H goes through the SVD, with energies None.  The
-    factorization runs in the dtype of H, so a real H has real vectors.
+    lambda).  When it also carries a parity and pairing, that eigh is of a
+    half-size block (_paired_eigh).  Any other H goes through the SVD, with
+    energies None.  The factorization runs in the dtype of H, so a real H
+    has real vectors.
     """
-    if hermiticity_defect(op.entries) == 0.0:
-        energies, right = np.linalg.eigh(op.entries)
+    m = op.entries
+    if np.array_equal(m, m.conj().T):
+        if op.parity_pairing is not None:
+            energies, right = _paired_eigh(m, *op.parity_pairing)
+        else:
+            energies, right = np.linalg.eigh(m)
         return Spectrum(sigma=np.abs(energies), right=right, energies=energies)
-    sigma, vh = np.linalg.svd(op.entries)[1:]
+    sigma, vh = np.linalg.svd(m)[1:]
     return Spectrum(sigma=sigma, right=vh.conj().T)
+
+
+def _paired_eigh(m: np.ndarray, parity: SignedPermutation, pairing: SignedPermutation) -> tuple:
+    """Eigenpairs of Hermitian m, ascending, from one eigh of its P = +1 block.
+
+    P pairs index a with b = P(a) and sign s_a, so (e_a + s_a e_b) / sqrt 2
+    spans the P = +1 eigenspace, where m acts as m[a, a] + m[a, b] s (the
+    other two quarters repeat these by P symmetry).  S anticommutes with
+    both m and P, so it maps each eigenpair (w, u) there onto (-w, S u) in
+    the P = -1 eigenspace; the two halves are orthogonal.
+    """
+    a = np.flatnonzero(parity.index > np.arange(m.shape[0]))
+    b, s = parity.index[a], parity.sign[a]
+    rows = m[a]
+    w, u = np.linalg.eigh(rows[:, a] + rows[:, b] * s)
+    u = u / math.sqrt(2.0)
+    half = np.empty((m.shape[0], a.size), dtype=u.dtype)
+    half[a], half[b] = u, s[:, None] * u
+    energies = np.concatenate([w, -w])
+    order = np.argsort(energies, kind="stable")
+    return energies[order], np.concatenate([half, pairing(half)], axis=1)[:, order]
 
 
 def gauge_eigh(op: Operator) -> EigResult:

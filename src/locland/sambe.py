@@ -7,17 +7,25 @@ holds the drive block for harmonic m - m'.  In Kronecker form this is
 I_S (x) h0 + diag(m . w) (x) I_n + sum_k S_k (x) B_k.  Flat indices run
 site-fastest, then m1, then m2 and so on, so site profiles come out of a
 plain reshape; SambeIndexMap is the one owner of that order.
+
+A two-level base whose h0 and drive blocks satisfy the four relations of
+_has_parity_pairing lifts to an H with two exact symmetries: the
+generalized parity P = sigma_x (x) (-1)^(sum m) behind coherent destruction
+of tunneling, which commutes with H, and the chiral pairing
+S = J (x) (m -> -m), J = [[0, 1], [-1, 0]], which anticommutes with H and P.
+The lifted Operator carries both, so factorize solves half of it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionError
-from .linalg import Operator
+from .linalg import Operator, SignedPermutation
 from .models import FourierDrive
 
 @dataclass(frozen=True, eq=False)
@@ -61,6 +69,23 @@ class SambeIndexMap:
         shifted = np.asarray(harmonics) + np.array(self.truncations, dtype=int)
         return np.ravel_multi_index(tuple(np.moveaxis(shifted, -1, 0)[::-1]), self._shape)
 
+    def parity_pairing(self) -> tuple:
+        """(P, S) of a two-site base in flat order, as SignedPermutation maps.
+
+        P = sigma_x (x) (-1)^(sum m) swaps the two sites of every sector and
+        signs both by the sector's parity; S = J (x) (m -> -m) sends site 0
+        of sector m to site 1 of sector -m, and site 1 to minus site 0.
+        """
+        if self.base_dim != 2:
+            raise DimensionError(f"parity and pairing need a two-site base, got {self.base_dim}")
+        harmonics = self.harmonics
+        flat = np.arange(self.flat_dim)
+        site = flat % 2
+        parity = SignedPermutation(flat ^ 1, np.repeat((-1.0) ** harmonics.sum(axis=1), 2))
+        mirror = np.repeat(self.sectors(-harmonics), 2)
+        pairing = SignedPermutation(2 * mirror + 1 - site, 1.0 - 2.0 * site)
+        return parity, pairing
+
     def _by_sector(self, values) -> np.ndarray:
         """A flat extended-space vector as a (sector_count, base_dim) array."""
         v = np.asarray(values)
@@ -86,6 +111,32 @@ class SambeIndexMap:
         return float(per_sector[edge].sum() / total) if total else float("nan")
 
 
+_SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
+_J = np.array([[0.0, 1.0], [-1.0, 0.0]])
+
+
+@functools.lru_cache(maxsize=16)
+def _two_level_maps(truncations: tuple) -> tuple:
+    """SambeIndexMap.parity_pairing of a two-site base, built once per truncation."""
+    return SambeIndexMap(base_dim=2, truncations=truncations).parity_pairing()
+
+
+def _has_parity_pairing(h0: Operator, blocks: dict) -> bool:
+    """Whether a two-site h0 and the drive blocks B_k (keyed by harmonic tuples)
+    satisfy, exactly: sigma_x h0 sigma_x = h0, sigma_x B_k sigma_x =
+    (-1)^(sum k) B_k, J h0 J^T = -h0 and J B_k J^T = -B_(-k).  These carry P
+    and S over to the lift.
+    """
+    if h0.dim != 2:
+        return False
+    zero = np.zeros((2, 2))
+    stack = np.array([h0.entries, *blocks.values()])
+    partners = np.array([h0.entries, *(blocks.get(tuple(-x for x in k), zero) for k in blocks)])
+    signs = np.array([1.0, *((-1.0) ** sum(k) for k in blocks)])
+    parity_holds = np.array_equal(_SIGMA_X @ stack @ _SIGMA_X, signs[:, None, None] * stack)
+    return parity_holds and np.array_equal(_J @ stack @ _J.T, -partners)
+
+
 @dataclass(frozen=True, eq=False)
 class SambeOperator:
     """Extended-space operator plus the bookkeeping needed to read it."""
@@ -99,7 +150,9 @@ def build_sambe(h0: Operator, drive: FourierDrive, omegas, truncations) -> Sambe
 
     Diagonal sectors hold h0 + (m . omega) I; sector (m, m - delta) holds the
     drive block keyed by delta (an int for one tone, an N-tuple otherwise).
-    The lift is real when h0 and every drive block are real.
+    The lift is real when h0 and every drive block are real, and carries
+    the parity and pairing of SambeIndexMap.parity_pairing when a two-site
+    h0 and its drive admit them (_has_parity_pairing).
     A drive harmonic that couples no pair of retained sectors adds nothing.
     A key with the wrong number of tones raises DimensionError.
     """
@@ -119,6 +172,7 @@ def build_sambe(h0: Operator, drive: FourierDrive, omegas, truncations) -> Sambe
     diag = np.arange(s)
     shifts = sum(harmonics[:, i] * w for i, w in enumerate(omegas))
     mat[diag, :, diag, :] = h0.entries + shifts[:, None, None] * np.eye(n, dtype=dtype)
+    blocks = {}
     for key, block in drive.blocks.items():
         delta = np.atleast_1d(key)
         if delta.shape != (len(omegas),):
@@ -126,8 +180,10 @@ def build_sambe(h0: Operator, drive: FourierDrive, omegas, truncations) -> Sambe
         target = harmonics - delta
         inside = np.all(np.abs(target) <= truncations, axis=1)
         mat[diag[inside], :, index_map.sectors(target[inside]), :] += block.entries
+        blocks[tuple(delta.tolist())] = block.entries
+    maps = _two_level_maps(truncations) if _has_parity_pairing(h0, blocks) else None
     return SambeOperator(
-        matrix=Operator(mat.reshape(index_map.flat_dim, index_map.flat_dim)),
+        matrix=Operator(mat.reshape(index_map.flat_dim, -1), parity_pairing=maps),
         index_map=index_map,
     )
 

@@ -20,6 +20,7 @@ from locland.experiments import (
     RunConfig,
     RUNNERS,
     _aah_point,
+    _cdt_duo_point,
     _cdt_mono_point,
     _hn_point,
     run_bbh,
@@ -563,18 +564,23 @@ class TestEndToEnd:
 class TestOneFactorization:
     """Each operator is factorized once; every observable reads that factorization."""
 
-    @pytest.fixture
-    def calls(self, monkeypatch):
-        """(routine, input dtype) of every numpy.linalg factorization call."""
+    @staticmethod
+    def record_factorizations(monkeypatch, describe) -> list:
+        """describe(routine, input matrix) of every numpy.linalg factorization call."""
         seen = []
         for name in ("svd", "eigh", "eigvalsh", "eig"):
 
             def counted(matrix, *args, _name=name, _original=getattr(np.linalg, name), **kwargs):
-                seen.append((_name, np.asarray(matrix).dtype))
+                seen.append(describe(_name, np.asarray(matrix)))
                 return _original(matrix, *args, **kwargs)
 
             monkeypatch.setattr(np.linalg, name, counted)
         return seen
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """(routine, input dtype) of every numpy.linalg factorization call."""
+        return self.record_factorizations(monkeypatch, lambda name, matrix: (name, matrix.dtype))
 
     @staticmethod
     def default_params(experiment):
@@ -602,6 +608,32 @@ class TestOneFactorization:
     def test_aah_point_one_eigh(self, calls):
         _aah_point(2.5, {**self.default_params("aah"), "n_sites": 8, "truncation": 1})
         assert calls == [("eigh", np.float64)]
+
+
+class TestHalfSizeLift:
+    """A two-level lift is factorized by one eigh of half its size; other lifts keep a full one."""
+
+    @pytest.fixture
+    def shapes(self, monkeypatch):
+        """(routine, input dtype, input shape) of every numpy.linalg factorization call."""
+        return TestOneFactorization.record_factorizations(
+            monkeypatch, lambda name, matrix: (name, matrix.dtype, matrix.shape)
+        )
+
+    def test_cdt_mono_point(self, shapes):
+        # M = 6: d = 2 x 13 = 26
+        _cdt_mono_point(2.4, TestOneFactorization.default_params("cdt-mono"))
+        assert shapes == [("eigh", np.float64, (13, 13))]
+
+    def test_cdt_duo_point(self, shapes):
+        # M1 = M2 = 6: d = 2 x 13 x 13 = 338
+        _cdt_duo_point((2.5, 8.0), TestOneFactorization.default_params("cdt-duo"))
+        assert shapes == [("eigh", np.float64, (169, 169))]
+
+    def test_aah_point(self, shapes):
+        # N = 80, M = 6: d = 80 x 13 = 1040
+        _aah_point(2.5, TestOneFactorization.default_params("aah"))
+        assert shapes == [("eigh", np.float64, (1040, 1040))]
 
 
 class TestSweepTable:

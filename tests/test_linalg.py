@@ -10,12 +10,18 @@ from locland import (
     DimensionError,
     HermiticityError,
     Operator,
+    SignedPermutation,
+    build_sambe_duo,
+    build_sambe_mono,
     eig_general,
     factorize,
     midgap_report,
     normal_operator,
     pseudo_solve,
     solve_landscape,
+    two_level_drive_duo,
+    two_level_drive_mono,
+    two_level_static,
 )
 from locland.models import hatano_nelson
 
@@ -150,6 +156,96 @@ class TestFactorize:
             right = vh.conj().T[:, keep]
             v_ref = right @ ((right.conj().T @ np.ones(d)) / s_ref[keep] ** 2)
             assert np.abs(res.v_complex - v_ref).max() <= 1e-9 * np.abs(v_ref).max()
+
+
+class TestPairedRoute:
+    """Two-level lifts factorized through their parity and pairing match a full eigh."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_matches_full_eigh(self, data):
+        tones = data.draw(st.sampled_from([1, 2]), label="tones")
+        truncations = [data.draw(st.integers(0, 4), label=f"truncation{k}") for k in range(tones)]
+        omega1 = data.draw(st.floats(2.0, 12.0), label="omega1")
+        ratio = data.draw(st.one_of(st.floats(0.3, 0.95), st.floats(1.05, 3.0)), label="omega2_ratio")
+        amplitude = st.one_of(st.just(0.0), st.floats(0.0, 12.0))
+        amps = [omega1 * data.draw(amplitude, label=f"amp{k}") for k in range(tones)]
+        h0 = two_level_static(data.draw(st.floats(0.2, 2.0), label="j"))
+        if tones == 1:
+            lifted = build_sambe_mono(h0, two_level_drive_mono(amps[0]), omega1, truncations[0])
+        else:
+            drive = two_level_drive_duo(*amps)
+            lifted = build_sambe_duo(h0, drive, omega1, ratio * omega1, *truncations)
+        op, plain = lifted.matrix, Operator(lifted.matrix.entries)
+        assert op.parity_pairing is not None and plain.parity_pairing is None
+
+        spectrum, ref = factorize(op), factorize(plain)
+        assert np.all(np.diff(spectrum.energies) >= 0.0)
+        assert np.array_equal(spectrum.sigma, np.abs(spectrum.energies))
+        norm1 = np.abs(op.entries).sum(axis=0).max()
+        assert np.abs(spectrum.energies - ref.energies).max() <= 1e-12 * norm1
+        assert np.abs(spectrum.right.T @ spectrum.right - np.eye(op.dim)).max() < 1e-12
+
+        # rcond lands on either side of sigma_min^2 / sigma_max^2, within the
+        # range where float64 resolves v to 1e-9
+        s2 = np.sort(ref.sigma) ** 2
+        shift = data.draw(st.floats(-3.0, 3.0), label="log10 rcond / ratio")
+        rcond = 10.0 ** min(max(math.log10(max(s2[0], 1e-300) / s2[-1]) + shift, -12.0), -0.5)
+        res, res_ref = solve_landscape(op, rcond), solve_landscape(plain, rcond)
+        assert res.discarded_rank % 2 == 0
+        cutoff = rcond * s2[-1]
+        if not np.any((s2 > 0.1 * cutoff) & (s2 < 10.0 * cutoff)):
+            assert res.discarded_rank == res_ref.discarded_rank
+        if s2[0] > 10.0 * cutoff:
+            v_ref = res_ref.v_complex
+            assert np.abs(res.v_complex - v_ref).max() <= 1e-9 * np.abs(v_ref).max()
+
+
+class TestParityPairingContract:
+    """Operator keeps a parity and pairing only when both are exact symmetries of it."""
+
+    @staticmethod
+    def lifted():
+        h0, drive = two_level_static(1.0), two_level_drive_duo(24.0, 8.0)
+        return build_sambe_duo(h0, drive, 10.0, 14.1, 2, 1).matrix
+
+    @pytest.mark.parametrize(
+        "index, sign",
+        [
+            ([1, 2, 3, 0], [1.0, 1.0, 1.0, 1.0]),  # a 4-cycle, not an involution
+            ([0, 1, 3, 2], [1.0, 1.0, 1.0, 1.0]),  # fixed points
+            ([1, 0, 3, 2], [1.0, 2.0, 1.0, 1.0]),  # a sign other than +-1
+            ([1, 0, 3, 4], [1.0, 1.0, 1.0, 1.0]),  # an index out of range
+        ],
+    )
+    def test_rejects_maps_that_are_not_paired_involutions(self, index, sign):
+        with pytest.raises(ValueError):
+            SignedPermutation(index, sign)
+
+    def test_rejects_maps_that_are_not_symmetries(self):
+        op = self.lifted()
+        parity, pairing = op.parity_pairing
+        Operator(op.entries, parity_pairing=(parity, pairing))
+        with pytest.raises(ValueError, match="square"):
+            # S squares to -1, so it cannot serve as the parity
+            Operator(op.entries, parity_pairing=(pairing, parity))
+        with pytest.raises(ValueError, match="anticommute"):
+            Operator(op.entries, parity_pairing=(parity, parity))
+        # flat index 0 is site 0 of the first sector; P sends it to index 1, S to
+        # index d - 1 (site 1 of the last sector)
+        for shifts, broken in (({0: 0.5, 1: 0.5}, "pairing"), ({0: 0.5, -1: -0.5}, "parity")):
+            m = op.entries.copy()
+            for k, shift in shifts.items():
+                m[k, k] += shift
+            with pytest.raises(ValueError, match=f"{broken} does not map"):
+                Operator(m, parity_pairing=op.parity_pairing)
+        with pytest.raises(DimensionError):
+            Operator(op.entries[:4, :4], parity_pairing=op.parity_pairing)
+
+    def test_plain_copy_drops_the_maps(self):
+        op = self.lifted()
+        assert op.parity_pairing is not None
+        assert Operator(op.entries).parity_pairing is None
 
 
 class TestRealDtype:

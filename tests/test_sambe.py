@@ -18,6 +18,7 @@ from locland import (
     build_sambe,
     build_sambe_duo,
     build_sambe_mono,
+    factorize,
     hatano_nelson,
     solve_landscape,
     ssh,
@@ -329,3 +330,56 @@ class TestBuildSambe:
         lifted = build_sambe(Operator(h0), drive, omegas, truncations)
         expected = sambe_entry_oracle(h0, blocks, omegas, truncations)
         assert np.array_equal(lifted.matrix.entries, expected)
+
+
+class TestParityPairing:
+    """Two-level lifts carry their parity P and pairing S; other two-site lifts carry none."""
+
+    @pytest.mark.parametrize("tones", [1, 2])
+    @pytest.mark.parametrize(
+        "a, b, m1, m2", [(24.0, 8.0, 2, 1), (0.0, 0.0, 0, 0), (55.0, 0.0, 3, 0), (7.5, 61.0, 4, 4)]
+    )
+    def test_maps_are_bitwise_symmetries(self, tones, a, b, m1, m2):
+        h0 = two_level_static(1.0)
+        if tones == 1:
+            lifted = build_sambe_mono(h0, two_level_drive_mono(a), 10.0, m1)
+        else:
+            lifted = build_sambe_duo(h0, two_level_drive_duo(a, b), 10.0, 10.0 * math.sqrt(2.0), m1, m2)
+        op = lifted.matrix
+        parity, pairing = op.parity_pairing
+        # as dense matrices, every product below is exact
+        p, s, m = parity(np.eye(op.dim)), pairing(np.eye(op.dim)), op.entries
+        assert np.array_equal(p @ m @ p.T, m)
+        assert np.array_equal(s @ m @ s.T, -m)
+        assert np.array_equal(p @ p, np.eye(op.dim))
+        assert np.array_equal(s @ p, -(p @ s))
+
+    def test_maps_in_flat_order(self):
+        # sectors m = -1, 0, 1 of one tone, two sites each
+        parity, pairing = SambeIndexMap(base_dim=2, truncations=(1,)).parity_pairing()
+        assert parity.index.tolist() == [1, 0, 3, 2, 5, 4]
+        assert parity.sign.tolist() == [-1.0, -1.0, 1.0, 1.0, -1.0, -1.0]
+        assert pairing.index.tolist() == [5, 4, 3, 2, 1, 0]
+        assert pairing.sign.tolist() == [1.0, -1.0, 1.0, -1.0, 1.0, -1.0]
+        with pytest.raises(DimensionError):
+            SambeIndexMap(base_dim=3, truncations=(1,)).parity_pairing()
+
+    def test_broken_relation_keeps_the_full_eigh(self, monkeypatch):
+        biased = Operator(two_level_static(1.0).entries + 0.3 * np.diag([1.0, -1.0]))
+        lifts = [
+            build_sambe_mono(biased, two_level_drive_mono(24.0), 10.0, 3),
+            build_sambe_mono(aah_static(2, 1.0, 2.8, 0.618, 0.3), aah_drive(2, 3.7, 0.618, 0.3), 2.5, 3),
+            build_sambe_mono(aah_static(4, 1.0, 2.8, 0.618), aah_drive(4, 3.7, 0.618), 2.5, 1),
+        ]
+        shapes = []
+        eigh = np.linalg.eigh
+
+        def recorded(matrix, *args, **kwargs):
+            shapes.append(np.shape(matrix))
+            return eigh(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", recorded)
+        for lifted in lifts:
+            assert lifted.matrix.parity_pairing is None
+            factorize(lifted.matrix)
+        assert shapes == [(14, 14), (14, 14), (12, 12)]

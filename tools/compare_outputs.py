@@ -29,8 +29,10 @@ EXCLUDED = {"manifest.json"}
 #: fixed runs on the routes no workload reaches: the SVD branch of
 #: factorize and eig_general (odd and t_left t_right < 0 hn chains, the
 #: bounds models), a three-point cdt-mono sweep, a cdt-duo plane whose
-#: second tone is the slower one, and an aah lift whose cutoff drops a
-#: direction (discarded_rank 1 at omega = 2.8), so soft_com follows near_null
+#: second tone is the slower one, an aah lift whose cutoff drops a
+#: direction (discarded_rank 1 at omega = 2.8), so soft_com follows near_null,
+#: and a cdt-duo plane whose cutoff drops a +-lambda pair of the half-size
+#: route (discarded_rank 2 at three of its nine points)
 EXTRA_INVOCATIONS = {
     "hn-odd": ["hn", "--set", "n_sites=41", "--set", "r_count=5"],
     "hn-negative-r": [
@@ -45,6 +47,10 @@ EXTRA_INVOCATIONS = {
         "--set", "truncation1=2", "--set", "truncation2=2", "--set", "n_periods=2",
     ],
     "aah-cutoff": ["aah", "--set", "theta=0.005", "--set", "omega_count=6"],
+    "cdt-duo-cutoff": [
+        "cdt-duo", "--set", "a_count=3", "--set", "b_count=3", "--set", "truncation1=2",
+        "--set", "truncation2=2", "--set", "n_periods=2", "--set", "rcond=1e-6",
+    ],
 }
 
 
