@@ -87,8 +87,12 @@ def resolve_config(experiment: str, args) -> RunConfig:
                 )
             params[key] = _cast_value(key, raw, type(schema[key].default))
     for key, entry in schema.items():
-        if entry.minimum is not None and params[key] < entry.minimum:
-            raise ConfigError(f"key {key!r} must be at least {entry.minimum}, got {params[key]}")
+        value = params[key]
+        if entry.minimum is not None and value < entry.minimum:
+            raise ConfigError(f"key {key!r} must be at least {entry.minimum}, got {value}")
+        interval = entry.open_interval
+        if interval is not None and not interval[0] < value < interval[1]:
+            raise ConfigError(f"key {key!r} must lie in {interval}, got {value}")
     if args.workers < 1:
         raise ConfigError(f"--workers must be at least 1, got {args.workers}")
     return RunConfig(

@@ -40,17 +40,17 @@ def average_right_density(op: Operator, gauge_eig: EigResult | None = None) -> n
 
 
 def pearson(x: np.ndarray, y: np.ndarray) -> float:
-    """Sample linear correlation coefficient."""
+    """Sample linear correlation coefficient; NaN when either input is
+    exactly constant (np.ptp == 0), whatever the rounding of its mean."""
     xa = np.asarray(x, dtype=float)
     ya = np.asarray(y, dtype=float)
     if xa.shape != ya.shape or xa.ndim != 1 or xa.size < 2:
         raise DimensionError("pearson needs two equal-length vectors of size >= 2")
+    if np.ptp(xa) == 0.0 or np.ptp(ya) == 0.0:
+        return float("nan")
     xc = xa - xa.mean()
     yc = ya - ya.mean()
-    denom = np.sqrt((xc @ xc) * (yc @ yc))
-    if denom == 0.0:
-        raise DegenerateInputError("pearson is undefined for zero-variance input")
-    return float(xc @ yc / denom)
+    return float(xc @ yc / np.sqrt((xc @ xc) * (yc @ yc)))
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
@@ -61,7 +61,7 @@ def _average_ranks(values: np.ndarray) -> np.ndarray:
 
 
 def spearman(x: np.ndarray, y: np.ndarray) -> float:
-    """Rank correlation: pearson of average-tie ranks."""
+    """Rank correlation: pearson of average-tie ranks (NaN for a constant input)."""
     xa = np.asarray(x, dtype=float)
     ya = np.asarray(y, dtype=float)
     if xa.shape != ya.shape or xa.ndim != 1 or xa.size < 2:

@@ -57,15 +57,19 @@ SQRT2 = math.sqrt(2.0)
 
 @dataclass(frozen=True)
 class Field:
-    """A config key's default and, for counts, its smallest value.
+    """A config key's default and the range its value must lie in.
 
-    Text given for the key is parsed as type(default).  The counts with a
-    minimum are the points of a swept axis (cdt-mono detects peaks on
-    three), RK4 steps per period of the fastest tone, periods and stride.
+    Text given for the key is parsed as type(default).  minimum is an
+    inclusive floor: on the counts (the points of a swept axis, where
+    cdt-mono detects peaks on three; RK4 steps per period of the fastest
+    tone; periods; stride), the harmonic truncations and the drive
+    amplitudes.  open_interval is an exclusive (low, high) range: J > 0
+    and rcond in (0, 1).  resolve_config checks both before any work.
     """
 
     default: object
-    minimum: int | None = None
+    minimum: int | float | None = None
+    open_interval: tuple | None = None
 
 
 @dataclass
@@ -94,31 +98,31 @@ SCHEMAS = {
         # unused on the gauge route (even n_sites), which is exact; odd
         # chains take the cutoff route, where the skin-effect singular
         # values must stay in the solve (they carry the boundary physics)
-        "rcond": Field(1e-24),
+        "rcond": Field(1e-24, open_interval=(0.0, 1.0)),
     },
     "cdt-mono": {
-        "j_coupling": Field(1.0),
+        "j_coupling": Field(1.0, open_interval=(0.0, math.inf)),
         "omega": Field(10.0),
-        "amp_min": Field(0.0),  # amplitudes in units of A / (hbar omega)
-        "amp_max": Field(10.0),
+        "amp_min": Field(0.0, minimum=0.0),  # amplitudes in units of A / (hbar omega)
+        "amp_max": Field(10.0, minimum=0.0),
         "amp_count": Field(500, minimum=3),
-        "truncation": Field(6),
-        "rcond": Field(1e-12),
+        "truncation": Field(6, minimum=0),
+        "rcond": Field(1e-12, open_interval=(0.0, 1.0)),
         "prominence": Field(0.1),
         "steps_per_period": Field(2000, minimum=MIN_STEPS_PER_PERIOD),
     },
     "cdt-duo": {
-        "j_coupling": Field(1.0),
+        "j_coupling": Field(1.0, open_interval=(0.0, math.inf)),
         "omega1": Field(10.0),
         "omega2_ratio": Field(SQRT2),
-        "amp_min": Field(0.0),
-        "amp_max": Field(10.0),
+        "amp_min": Field(0.0, minimum=0.0),
+        "amp_max": Field(10.0, minimum=0.0),
         "a_count": Field(21, minimum=2),
         "b_count": Field(21, minimum=2),
-        "truncation1": Field(6),
-        "truncation2": Field(6),
+        "truncation1": Field(6, minimum=0),
+        "truncation2": Field(6, minimum=0),
         "n_periods": Field(100, minimum=1),
-        "rcond": Field(1e-12),
+        "rcond": Field(1e-12, open_interval=(0.0, 1.0)),
         "steps_per_period": Field(2000, minimum=MIN_STEPS_PER_PERIOD),
         "traj_stride": Field(100, minimum=1),
     },
@@ -132,9 +136,9 @@ SCHEMAS = {
         "omega_min": Field(1.0),
         "omega_max": Field(10.0),
         "omega_count": Field(60, minimum=2),
-        "truncation": Field(6),
+        "truncation": Field(6, minimum=0),
         "bin_width": Field(0.01),
-        "rcond": Field(1e-12),
+        "rcond": Field(1e-12, open_interval=(0.0, 1.0)),
     },
     "ssh": {
         "n_cells": Field(20),
@@ -143,7 +147,7 @@ SCHEMAS = {
         # near-zero singular directions are the topology signal; the tiny
         # cutoff keeps deep midgap modes while exact kernels still drop to
         # the near-null branch of the colocalization check
-        "rcond": Field(1e-24),
+        "rcond": Field(1e-24, open_interval=(0.0, 1.0)),
         "window": Field(0.0),  # 0 -> automatic midgap window
     },
     "bbh": {
@@ -151,7 +155,7 @@ SCHEMAS = {
         "n_y": Field(6),
         "gamma": Field(0.5),
         "lam": Field(1.0),
-        "rcond": Field(1e-12),
+        "rcond": Field(1e-12, open_interval=(0.0, 1.0)),
         "window": Field(0.0),
     },
     "bounds": {
@@ -161,7 +165,7 @@ SCHEMAS = {
         "n_sites": Field(120),
         "t_left": Field(1.0),
         "r": Field(0.9),
-        "rcond": Field(1e-12),
+        "rcond": Field(1e-12, open_interval=(0.0, 1.0)),
     },
 }
 

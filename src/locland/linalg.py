@@ -59,12 +59,13 @@ class SignedPermutation:
         return self.sign[:, None] * x[self.index]
 
 
-def _check_parity_pairing(m: np.ndarray, parity: SignedPermutation, pairing: SignedPermutation):
-    """Raise unless (P, S) = (parity, pairing) are what factorize's paired route relies on.
+def _is_parity_pairing(m: np.ndarray, parity: SignedPermutation, pairing: SignedPermutation) -> bool:
+    """Whether (P, S) = (parity, pairing) are exact symmetries of H = m:
+    P H P^T = H and S H S^T = -H, as factorize's paired route relies on.
 
-    Both must act on d = dim(H) indices.  P must square to one and commute
-    with H exactly (P H P^T = H); S must anticommute with H exactly
-    (S H S^T = -H) and with P (S P = -P S).
+    Maps that are malformed on their own raise: both must act on
+    d = dim(H) indices, P must square to one and S must anticommute with
+    it (S P = -P S).
     """
     if parity.index.size != m.shape[0] or pairing.index.size != m.shape[0]:
         raise DimensionError(f"parity and pairing must act on {m.shape[0]} indices")
@@ -79,10 +80,11 @@ def _check_parity_pairing(m: np.ndarray, parity: SignedPermutation, pairing: Sig
     # a nonzero entry permutes them, and so sends the zeros onto zeros
     # (np.flatnonzero of a mask is about 10x faster than np.nonzero(m))
     rows, cols = divmod(np.flatnonzero(m != 0), m.shape[0])
-    for name, p, factor in (("parity", parity, 1.0), ("pairing", pairing, -1.0)):
-        moved = p.sign[rows] * p.sign[cols] * m[p.index[rows], p.index[cols]]
-        if not np.array_equal(moved, factor * m[rows, cols]):
-            raise ValueError(f"{name} does not map the operator onto {factor:+g} times itself")
+    return all(
+        np.array_equal(p.sign[rows] * p.sign[cols] * m[p.index[rows], p.index[cols]],
+                       factor * m[rows, cols])
+        for p, factor in ((parity, 1.0), (pairing, -1.0))
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,11 +102,12 @@ class Operator:
     one eigh of T (gauge_eigh) instead of the SVD and eig_general of H.
     Only a real H can carry a gauge; Operator(op.entries) drops it.
 
-    parity_pairing, when set, is a pair (P, S) of SignedPermutation maps
-    with P H P^T = H and S H S^T = -H exactly, S P = -P S, P^2 = 1 (see
-    _check_parity_pairing, which construction runs).  factorize then reads
-    an exactly Hermitian H off one eigh of its P = +1 block, half the size
-    of H.  The two-level Sambe lifts carry one; Operator(op.entries) drops it.
+    parity_pairing, when given, is a pair (P, S) of SignedPermutation maps
+    with P^2 = 1 and S P = -P S; other maps raise.  It is kept only where
+    P H P^T = H and S H S^T = -H hold exactly (_is_parity_pairing) and is
+    None otherwise.  factorize then reads an exactly Hermitian H off one
+    eigh of its P = +1 block, half the size of H.  Every two-site Sambe
+    lift is offered one; Operator(op.entries) drops it.
     """
 
     entries: np.ndarray
@@ -130,8 +133,8 @@ class Operator:
                 raise ValueError("log_gauge must be finite and needs real entries")
             g.setflags(write=False)
             object.__setattr__(self, "log_gauge", g)
-        if self.parity_pairing is not None:
-            _check_parity_pairing(m, *self.parity_pairing)
+        if self.parity_pairing is not None and not _is_parity_pairing(m, *self.parity_pairing):
+            object.__setattr__(self, "parity_pairing", None)
 
     @property
     def dim(self) -> int:

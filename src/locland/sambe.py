@@ -8,12 +8,11 @@ I_S (x) h0 + diag(m . w) (x) I_n + sum_k S_k (x) B_k.  Flat indices run
 site-fastest, then m1, then m2 and so on, so site profiles come out of a
 plain reshape; SambeIndexMap is the one owner of that order.
 
-A two-level base whose h0 and drive blocks satisfy the four relations of
-_has_parity_pairing lifts to an H with two exact symmetries: the
-generalized parity P = sigma_x (x) (-1)^(sum m) behind coherent destruction
-of tunneling, which commutes with H, and the chiral pairing
-S = J (x) (m -> -m), J = [[0, 1], [-1, 0]], which anticommutes with H and P.
-The lifted Operator carries both, so factorize solves half of it.
+Every two-site lift is offered two maps: the generalized parity
+P = sigma_x (x) (-1)^(sum m) behind coherent destruction of tunneling and
+the chiral pairing S = J (x) (m -> -m), J = [[0, 1], [-1, 0]].  Operator
+keeps them where they hold exactly (P commutes with H, S anticommutes with
+H and P), as on the driven two-level system, so factorize solves half of it.
 """
 
 from __future__ import annotations
@@ -111,30 +110,10 @@ class SambeIndexMap:
         return float(per_sector[edge].sum() / total) if total else float("nan")
 
 
-_SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
-_J = np.array([[0.0, 1.0], [-1.0, 0.0]])
-
-
 @functools.lru_cache(maxsize=16)
 def _two_level_maps(truncations: tuple) -> tuple:
     """SambeIndexMap.parity_pairing of a two-site base, built once per truncation."""
     return SambeIndexMap(base_dim=2, truncations=truncations).parity_pairing()
-
-
-def _has_parity_pairing(h0: Operator, blocks: dict) -> bool:
-    """Whether a two-site h0 and the drive blocks B_k (keyed by harmonic tuples)
-    satisfy, exactly: sigma_x h0 sigma_x = h0, sigma_x B_k sigma_x =
-    (-1)^(sum k) B_k, J h0 J^T = -h0 and J B_k J^T = -B_(-k).  These carry P
-    and S over to the lift.
-    """
-    if h0.dim != 2:
-        return False
-    zero = np.zeros((2, 2))
-    stack = np.array([h0.entries, *blocks.values()])
-    partners = np.array([h0.entries, *(blocks.get(tuple(-x for x in k), zero) for k in blocks)])
-    signs = np.array([1.0, *((-1.0) ** sum(k) for k in blocks)])
-    parity_holds = np.array_equal(_SIGMA_X @ stack @ _SIGMA_X, signs[:, None, None] * stack)
-    return parity_holds and np.array_equal(_J @ stack @ _J.T, -partners)
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,9 +129,9 @@ def build_sambe(h0: Operator, drive: FourierDrive, omegas, truncations) -> Sambe
 
     Diagonal sectors hold h0 + (m . omega) I; sector (m, m - delta) holds the
     drive block keyed by delta (an int for one tone, an N-tuple otherwise).
-    The lift is real when h0 and every drive block are real, and carries
-    the parity and pairing of SambeIndexMap.parity_pairing when a two-site
-    h0 and its drive admit them (_has_parity_pairing).
+    The lift is real when h0 and every drive block are real.  A two-site
+    lift is offered the maps of SambeIndexMap.parity_pairing, which Operator
+    keeps where they are exact symmetries of it.
     A drive harmonic that couples no pair of retained sectors adds nothing.
     A key with the wrong number of tones raises DimensionError.
     """
@@ -172,7 +151,6 @@ def build_sambe(h0: Operator, drive: FourierDrive, omegas, truncations) -> Sambe
     diag = np.arange(s)
     shifts = sum(harmonics[:, i] * w for i, w in enumerate(omegas))
     mat[diag, :, diag, :] = h0.entries + shifts[:, None, None] * np.eye(n, dtype=dtype)
-    blocks = {}
     for key, block in drive.blocks.items():
         delta = np.atleast_1d(key)
         if delta.shape != (len(omegas),):
@@ -180,8 +158,7 @@ def build_sambe(h0: Operator, drive: FourierDrive, omegas, truncations) -> Sambe
         target = harmonics - delta
         inside = np.all(np.abs(target) <= truncations, axis=1)
         mat[diag[inside], :, index_map.sectors(target[inside]), :] += block.entries
-        blocks[tuple(delta.tolist())] = block.entries
-    maps = _two_level_maps(truncations) if _has_parity_pairing(h0, blocks) else None
+    maps = _two_level_maps(truncations) if n == 2 else None
     return SambeOperator(
         matrix=Operator(mat.reshape(index_map.flat_dim, -1), parity_pairing=maps),
         index_map=index_map,

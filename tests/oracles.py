@@ -224,6 +224,29 @@ def sambe_entry_oracle(h0: np.ndarray, blocks: dict, omegas, truncations) -> np.
     return out
 
 
+def parity_pairing_relations_hold(h0: np.ndarray, blocks: dict) -> bool:
+    """The four 2x2 relations that carry P and S of a two-site base over to its lift.
+
+    sigma_x h0 sigma_x = h0, sigma_x B_k sigma_x = (-1)^(sum k) B_k,
+    J h0 J^T = -h0 and J B_k J^T = -B_(-k), with J = [[0, 1], [-1, 0]] and a
+    missing B_(-k) read as zero; each relation exact, written out entry by
+    entry.  ``blocks`` maps harmonic tuples (no zero key) to 2x2 arrays.
+    """
+
+    def parity(a):  # sigma_x a sigma_x
+        return np.array([[a[1, 1], a[1, 0]], [a[0, 1], a[0, 0]]])
+
+    def pairing(a):  # J a J^T
+        return np.array([[a[1, 1], -a[1, 0]], [-a[0, 1], a[0, 0]]])
+
+    holds = np.array_equal(parity(h0), h0) and np.array_equal(pairing(h0), -h0)
+    for k, b in blocks.items():
+        partner = blocks.get(tuple(-x for x in k), np.zeros((2, 2)))
+        holds = holds and np.array_equal(parity(b), (-1) ** sum(k) * b)
+        holds = holds and np.array_equal(pairing(b), -partner)
+    return holds
+
+
 def _two_level_rhs(t, psi, j_coupling, amps, freqs):
     # i psi' = [alpha(t) sigma_z - J sigma_x] psi, alpha = s(t) / 2; psi (B, 2), amps (B, K)
     s_t = amps @ np.cos(freqs * t)

@@ -13,7 +13,7 @@ import pytest
 from locland import dynamics, experiments
 from locland.cli import load_config_file, main, resolve_config
 from locland.diagnostics import floquet_dos
-from locland.dynamics import propagate
+from locland.dynamics import min_left_population_grid, propagate
 from locland.errors import AccuracyError, ConfigError
 from locland.experiments import (
     SCHEMAS,
@@ -264,6 +264,38 @@ class TestCliExitCodes:
         with pytest.raises(AccuracyError, match="min_PL grid drifts"):
             run_cdt_duo(config)
         assert len(lifts) == 0
+
+    @pytest.mark.parametrize("arg", ["rcond=2", "truncation1=-1", "j_coupling=0", "amp_min=-1"])
+    def test_cdt_duo_bounds_fail_before_any_work(self, arg, tmp_path, monkeypatch, capsys):
+        # these values only the Sambe grid would reject, after the min_PL grid
+        grids = []
+
+        def counted(*args):
+            grids.append(args)
+            return min_left_population_grid(*args)
+
+        monkeypatch.setattr(experiments, "min_left_population_grid", counted)
+        code = run_cli(["cdt-duo", "--out", str(tmp_path), "--set", arg])
+        assert code == 2
+        assert f"key {arg.split('=')[0]!r}" in capsys.readouterr().err
+        assert grids == []
+
+    @pytest.mark.parametrize(
+        "experiment, args, names",
+        [
+            # every r is 1.0, so soft_com and x_cm are constant columns
+            ("hn", ["r_min=1.0", "r_max=1.0"], ["pearson_soft_com_x_cm", "spearman_soft_com_x_cm"]),
+            # the undriven control: every v_max and min_PL is the same
+            ("cdt-duo", ["amp_max=0", "a_count=3", "b_count=3", "truncation1=2", "truncation2=2",
+                         "n_periods=2"],
+             ["pearson_log10_vmax_min_PL", "pearson_raw_vmax_min_PL", "spearman_vmax_min_PL"]),
+        ],
+    )
+    def test_undefined_correlation_reports_nan(self, experiment, args, names, tmp_path):
+        code = run_cli([experiment, "--out", str(tmp_path)] + [x for a in args for x in ("--set", a)])
+        assert code == 0
+        meta = json.loads((tmp_path / "report.json").read_text())["metadata"]
+        assert all(math.isnan(meta[name]) for name in names)
 
     def test_aah_dos_contract_exits_3(self, tmp_path, monkeypatch, capsys):
         def off_by_1e9(*args, **kwargs):

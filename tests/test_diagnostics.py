@@ -103,10 +103,19 @@ class TestPearson:
         assert pearson(3.0 * x + 2.0, y) == pytest.approx(pearson(x, y), rel=1e-12)
 
     def test_degenerate(self):
-        with pytest.raises(DegenerateInputError):
-            pearson(np.ones(5), np.arange(5.0))
+        # a constant input has no correlation: NaN, as for aah's variance_ratio
+        assert math.isnan(pearson(np.ones(5), np.arange(5.0)))
+        assert math.isnan(pearson(np.ones(5), np.ones(5)))
         with pytest.raises(DimensionError):
             pearson(np.ones(3), np.ones(4))
+
+    def test_constant_input_whose_mean_rounds(self):
+        # the float64 mean of 25 copies of 0.1 is 0.10000000000000002, so the
+        # centered column is rounding noise, not zero; constancy is still exact
+        x = np.full(25, 0.1)
+        assert x.mean() != 0.1
+        assert math.isnan(pearson(x, np.arange(25.0)))
+        assert math.isnan(pearson(x, 2.0 * x))
 
 
 class TestSpearman:
@@ -142,8 +151,7 @@ class TestSpearman:
         assert spearman(np.exp(x), y) == pytest.approx(spearman(x, y), rel=1e-12)
 
     def test_all_equal_degenerate(self):
-        with pytest.raises(DegenerateInputError):
-            spearman(np.ones(4), np.arange(4.0))
+        assert math.isnan(spearman(np.ones(4), np.arange(4.0)))
 
 
 class TestFoldQuasienergy:

@@ -202,7 +202,7 @@ class TestPairedRoute:
 
 
 class TestParityPairingContract:
-    """Operator keeps a parity and pairing only when both are exact symmetries of it."""
+    """Operator rejects malformed maps and keeps well-formed ones only where they hold exactly."""
 
     @staticmethod
     def lifted():
@@ -223,24 +223,40 @@ class TestParityPairingContract:
             SignedPermutation(index, sign)
 
     def test_rejects_maps_that_are_not_symmetries(self):
+        # maps malformed on their own raise, whatever the operator
         op = self.lifted()
         parity, pairing = op.parity_pairing
-        Operator(op.entries, parity_pairing=(parity, pairing))
+        assert Operator(op.entries, parity_pairing=(parity, pairing)).parity_pairing is not None
         with pytest.raises(ValueError, match="square"):
             # S squares to -1, so it cannot serve as the parity
             Operator(op.entries, parity_pairing=(pairing, parity))
         with pytest.raises(ValueError, match="anticommute"):
             Operator(op.entries, parity_pairing=(parity, parity))
+        with pytest.raises(DimensionError):
+            Operator(op.entries[:4, :4], parity_pairing=op.parity_pairing)
+
+    def test_drops_maps_that_are_not_symmetries(self, monkeypatch):
+        op = self.lifted()
+        shapes = []
+        eigh = np.linalg.eigh
+
+        def recorded(matrix, *args, **kwargs):
+            shapes.append(np.shape(matrix))
+            return eigh(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", recorded)
         # flat index 0 is site 0 of the first sector; P sends it to index 1, S to
-        # index d - 1 (site 1 of the last sector)
-        for shifts, broken in (({0: 0.5, 1: 0.5}, "pairing"), ({0: 0.5, -1: -0.5}, "parity")):
+        # index d - 1 (site 1 of the last sector).  The first shift breaks only
+        # S H S^T = -H, the second only P H P^T = H.
+        for shifts in ({0: 0.5, 1: 0.5}, {0: 0.5, -1: -0.5}):
             m = op.entries.copy()
             for k, shift in shifts.items():
                 m[k, k] += shift
-            with pytest.raises(ValueError, match=f"{broken} does not map"):
-                Operator(m, parity_pairing=op.parity_pairing)
-        with pytest.raises(DimensionError):
-            Operator(op.entries[:4, :4], parity_pairing=op.parity_pairing)
+            broken = Operator(m, parity_pairing=op.parity_pairing)
+            assert broken.parity_pairing is None
+            shapes.clear()
+            factorize(broken)
+            assert shapes == [(op.dim, op.dim)]
 
     def test_plain_copy_drops_the_maps(self):
         op = self.lifted()

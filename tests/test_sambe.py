@@ -28,7 +28,7 @@ from locland import (
 )
 from locland.experiments import SCHEMAS, RunConfig, _bounds_model
 
-from oracles import sambe_entry_oracle
+from oracles import parity_pairing_relations_hold, sambe_entry_oracle
 
 SZ = np.diag([1.0 + 0.0j, -1.0 + 0.0j])
 
@@ -333,7 +333,7 @@ class TestBuildSambe:
 
 
 class TestParityPairing:
-    """Two-level lifts carry their parity P and pairing S; other two-site lifts carry none."""
+    """Two-site lifts keep P and S exactly where their 2x2 relations hold."""
 
     @pytest.mark.parametrize("tones", [1, 2])
     @pytest.mark.parametrize(
@@ -363,6 +363,47 @@ class TestParityPairing:
         assert pairing.sign.tolist() == [1.0, -1.0, 1.0, -1.0, 1.0, -1.0]
         with pytest.raises(DimensionError):
             SambeIndexMap(base_dim=3, truncations=(1,)).parity_pairing()
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_maps_kept_iff_two_level_relations_hold(self, data):
+        tones = data.draw(st.integers(1, 2), label="tones")
+        truncations = tuple(data.draw(st.integers(0, 3), label=f"truncation{i}") for i in range(tones))
+        omegas = tuple(data.draw(st.floats(0.5, 5.0), label=f"omega{i}") for i in range(tones))
+        # nonzero keys that couple at least one pair of retained sectors
+        key = st.tuples(*[st.integers(-2 * m, 2 * m) for m in truncations]).filter(any)
+        keys = data.draw(st.lists(key, max_size=4, unique=True), label="keys")
+        value = st.sampled_from([-2.0, -1.0, 0.0, 0.5, 1.0])
+        scale = data.draw(st.sampled_from([1.0, 1j, 0.5 - 2j]), label="scale")
+        # B_k and B_(-k) share (c, d); shaped so every relation holds when
+        # both are present, so missing partners and flaws are what break them
+        shared = {}
+        for k in keys:
+            canon = max(k, tuple(-x for x in k))
+            if canon not in shared:
+                shared[canon] = data.draw(st.tuples(value, value), label=f"c, d of {canon}")
+        blocks = {}
+        for k in keys:
+            canon = max(k, tuple(-x for x in k))
+            (c, d), own = shared[canon], k == canon
+            if sum(k) % 2:
+                b = [[c, d], [-d, -c]] if own else [[c, -d], [d, -c]]
+            else:
+                b = [[c, d], [d, c]] if own else [[-c, d], [d, -c]]
+            blocks[k] = scale * np.array(b)
+        h0 = scale * data.draw(value, label="b") * np.array([[0.0, 1.0], [1.0, 0.0]])
+        flaw = data.draw(st.none() | st.tuples(st.integers(0, len(keys)), st.integers(0, 1),
+                                               st.integers(0, 1), value), label="flaw")
+        if flaw is not None:
+            which, i, j, shift = flaw
+            (h0 if which == 0 else blocks[keys[which - 1]])[i, j] += shift
+
+        drive = FourierDrive(
+            blocks={k[0] if tones == 1 else k: Operator(b) for k, b in blocks.items()}, base_dim=2
+        )
+        lifted = build_sambe(Operator(h0), drive, omegas, truncations)
+        kept = lifted.matrix.parity_pairing is not None
+        assert kept == parity_pairing_relations_hold(h0, blocks)
 
     def test_broken_relation_keeps_the_full_eigh(self, monkeypatch):
         biased = Operator(two_level_static(1.0).entries + 0.3 * np.diag([1.0, -1.0]))

@@ -10,13 +10,20 @@ EXTRA_INVOCATIONS.  Every file the two runs
 write is compared byte for byte, except manifest.json (it records wall time
 and peak RSS).  Files that differ, exist on one side only, or come from
 runs with different exit codes are printed; the exit code is 1 if there is
-any, else 0.
+any, else 0.  Under each differing CSV file or report.json, one line per
+column or numeric leaf that changed gives the size of the change: the
+largest relative change |a - b| / max(|a|, |b|) of its entries, or, for
+discarded_rank (an integer count), the entries that differ.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import importlib.util
+import io
+import json
+import math
 import os
 import subprocess
 import sys
@@ -83,6 +90,68 @@ def outputs(out_dir: Path) -> dict:
     return {p.name: p.read_bytes() for p in out_dir.iterdir() if p.name not in EXCLUDED}
 
 
+def _relative_change(a: float, b: float) -> float:
+    """|a - b| / max(|a|, |b|): 0 when equal (NaN to NaN too), inf across inf or NaN."""
+    if a == b or (math.isnan(a) and math.isnan(b)):
+        return 0.0
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return math.inf
+    return abs(a - b) / max(abs(a), abs(b))
+
+
+def _csv_columns(data: bytes) -> dict:
+    """Header name -> list of cell texts."""
+    header, *rows = csv.reader(io.StringIO(data.decode()))
+    return {name: [row[k] for row in rows] for k, name in enumerate(header)}
+
+
+def _json_leaves(node, path: str = "", out: dict | None = None) -> dict:
+    """Dotted path -> list of the leaves under it; the entries of a list share its path."""
+    out = {} if out is None else out
+    if isinstance(node, dict):
+        for key, value in node.items():
+            _json_leaves(value, f"{path}.{key}" if path else key, out)
+    elif isinstance(node, list):
+        for item in node:
+            _json_leaves(item, path, out)
+    else:
+        out.setdefault(path, []).append(node)
+    return out
+
+
+def summarize_change(name: str, parent: bytes, change: bytes) -> list:
+    """One line per CSV column, or report.json leaf, whose entries differ; [] for other files."""
+    if name.endswith(".csv"):
+        before, after = _csv_columns(parent), _csv_columns(change)
+    elif name == "report.json":
+        before, after = _json_leaves(json.loads(parent)), _json_leaves(json.loads(change))
+    else:
+        return []
+    lines = []
+    for key in [*before, *(k for k in after if k not in before)]:
+        a, b = before.get(key), after.get(key)
+        if a is None or b is None:
+            lines.append(f"{key}: {'parent' if b is None else 'change'} side only")
+        elif len(a) != len(b):
+            lines.append(f"{key}: {len(a)} entries != {len(b)}")
+        elif a != b:
+            try:
+                pairs = [(float(x), float(y)) for x, y in zip(a, b)]
+            except (TypeError, ValueError):
+                lines.append(f"{key}: non-numeric entries differ")
+                continue
+            if key.rsplit(".", 1)[-1] == "discarded_rank":
+                rows = [k for k, (x, y) in enumerate(pairs) if x != y]
+                lines.append(f"{key}: exact, {len(rows)} entries differ (first at {rows[0]})")
+                continue
+            worst = max(_relative_change(x, y) for x, y in pairs)
+            if worst > 0.0:
+                lines.append(f"{key}: largest relative change {worst:.3g}")
+            elif name.endswith(".csv"):
+                lines.append(f"{key}: same values, different text")
+    return lines
+
+
 def invocations(seeds: list):
     """(label, argv for an output directory) of every run the comparison makes."""
     for seed in seeds:
@@ -94,7 +163,7 @@ def invocations(seeds: list):
 
 
 def compare(parent: Path, change: Path, seeds: list, scratch: Path) -> list:
-    """(label, file, reason) for every output that differs between the two trees."""
+    """(label, file, reason, summary lines) for every output that differs between the two trees."""
     differences = []
     for k, (label, argv) in enumerate(invocations(seeds)):
         codes, files = [], []
@@ -103,13 +172,14 @@ def compare(parent: Path, change: Path, seeds: list, scratch: Path) -> list:
             codes.append(run(src, argv(out_dir)))
             files.append(outputs(out_dir))
         if codes[0] != codes[1]:
-            differences.append((label, "-", f"exit code {codes[0]} != {codes[1]}"))
+            differences.append((label, "-", f"exact, exit code {codes[0]} != {codes[1]}", []))
         for file in sorted(files[0].keys() | files[1].keys()):
             if file not in files[0] or file not in files[1]:
                 side = "parent" if file in files[0] else "change"
-                differences.append((label, file, f"written by the {side} tree only"))
+                differences.append((label, file, f"written by the {side} tree only", []))
             elif files[0][file] != files[1][file]:
-                differences.append((label, file, "contents differ"))
+                summary = summarize_change(file, files[0][file], files[1][file])
+                differences.append((label, file, "contents differ", summary))
         print(f"{label}: {len(files[1])} files, exit {codes[1]}", file=sys.stderr)
     return differences
 
@@ -123,8 +193,10 @@ def main(argv=None) -> int:
     parent, change = source_dir(args.parent_src), source_dir(args.change_src)
     with tempfile.TemporaryDirectory(prefix="compare_outputs-") as scratch:
         differences = compare(parent, change, args.seed or [1], Path(scratch))
-    for label, file, reason in differences:
+    for label, file, reason, summary in differences:
         print(f"DIFFERS {label} {file}: {reason}")
+        for line in summary:
+            print(f"    {line}")
     print(f"{len(differences)} differing outputs")
     return 1 if differences else 0
 
