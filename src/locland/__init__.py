@@ -53,7 +53,6 @@ from .linalg import (
     pseudo_solve,
 )
 from .models import (
-    FourierDrive,
     SshConfig,
     aah_drive,
     aah_static,

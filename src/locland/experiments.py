@@ -62,9 +62,11 @@ class Field:
     Text given for the key is parsed as type(default).  minimum is an
     inclusive floor: on the counts (the points of a swept axis, where
     cdt-mono detects peaks on three; RK4 steps per period of the fastest
-    tone; periods; stride), the harmonic truncations and the drive
-    amplitudes.  open_interval is an exclusive (low, high) range: J > 0
-    and rcond in (0, 1).  resolve_config checks both before any work.
+    tone; periods; stride), the harmonic truncations, the drive amplitudes
+    and the midgap window (0 picks it automatically).  open_interval is an
+    exclusive (low, high) range: J > 0, and rcond, the peak prominence and
+    the DOS bin width in (0, 1).  resolve_config checks both before any
+    work.
     """
 
     default: object
@@ -108,7 +110,7 @@ SCHEMAS = {
         "amp_count": Field(500, minimum=3),
         "truncation": Field(6, minimum=0),
         "rcond": Field(1e-12, open_interval=(0.0, 1.0)),
-        "prominence": Field(0.1),
+        "prominence": Field(0.1, open_interval=(0.0, 1.0)),
         "steps_per_period": Field(2000, minimum=MIN_STEPS_PER_PERIOD),
     },
     "cdt-duo": {
@@ -137,7 +139,7 @@ SCHEMAS = {
         "omega_max": Field(10.0),
         "omega_count": Field(60, minimum=2),
         "truncation": Field(6, minimum=0),
-        "bin_width": Field(0.01),
+        "bin_width": Field(0.01, open_interval=(0.0, 1.0)),
         "rcond": Field(1e-12, open_interval=(0.0, 1.0)),
     },
     "ssh": {
@@ -148,7 +150,7 @@ SCHEMAS = {
         # cutoff keeps deep midgap modes while exact kernels still drop to
         # the near-null branch of the colocalization check
         "rcond": Field(1e-24, open_interval=(0.0, 1.0)),
-        "window": Field(0.0),  # 0 -> automatic midgap window
+        "window": Field(0.0, minimum=0.0),  # 0 -> automatic midgap window
     },
     "bbh": {
         "n_x": Field(6),
@@ -156,7 +158,7 @@ SCHEMAS = {
         "gamma": Field(0.5),
         "lam": Field(1.0),
         "rcond": Field(1e-12, open_interval=(0.0, 1.0)),
-        "window": Field(0.0),
+        "window": Field(0.0, minimum=0.0),
     },
     "bounds": {
         "model": Field("hermitian_pd"),  # hermitian_pd | hn | diag
@@ -326,6 +328,10 @@ PARTIAL_LEFT_STATE = np.array([math.sqrt(3.0) / 2.0, 0.5], dtype=complex)
 #: trajectories (exit 3 above)
 NORM_DRIFT_LIMIT = 1e-7
 
+#: largest relative v_max difference allowed between the B = 0 sweep at
+#: truncation2 = 0 and the one-tone sweep, which are the same lift (exit 3)
+REDUCTION_LIMIT = 1e-8
+
 
 def run_cdt_duo(config: RunConfig) -> SweepReport:
     p = config.params
@@ -358,6 +364,8 @@ def run_cdt_duo(config: RunConfig) -> SweepReport:
     b0_p = {**p, "truncation2": 0}
     duo_b0 = np.array([_cdt_duo_point((a, 0.0), b0_p)["v_max_tot"] for a in a_us])
     reduction_diff = float(np.abs(duo_b0 - mono).max() / np.abs(mono).max())
+    if reduction_diff > REDUCTION_LIMIT:
+        raise AccuracyError(f"B = 0 sweep differs from the one-tone sweep by {reduction_diff:.2e}")
     b0_row = vmax.reshape(p["a_count"], p["b_count"])[:, 0]
     full_row_diff = float(np.abs(b0_row - mono).max() / np.abs(mono).max())
 

@@ -1,9 +1,9 @@
 """Hamiltonian constructors for the benchmark models.
 
-Static lattices are returned as Operator matrices; time-periodic drives are
-returned as FourierDrive objects holding one Hermitian block per harmonic,
-ready to be lifted into an extended (Sambe-type) operator.  Sites are
-indexed 1..N in all center-of-mass conventions, i.e. array row 0 is site 1.
+Static lattices are returned as Operator matrices; time-periodic drives as
+{harmonic: Operator} dicts with one Hermitian block per harmonic, ready for
+build_sambe's extended (Sambe-type) lift.  Sites are indexed 1..N in all
+center-of-mass conventions, i.e. array row 0 is site 1.
 """
 
 from __future__ import annotations
@@ -19,29 +19,6 @@ from .linalg import Operator
 SSH_VARIANTS = ("topological", "trivial", "domain_wall")
 
 _SIGMA_Z = np.diag([1.0, -1.0])
-
-
-@dataclass(frozen=True, eq=False)
-class FourierDrive:
-    """Fourier blocks of a time-periodic Hamiltonian term.
-
-    ``blocks`` maps a harmonic key (int for a single drive tone, (int, int)
-    pair for two tones) to the operator multiplying exp(i m w t).  All the
-    drives built here are cosines, so every block is Hermitian and
-    blocks[-m] = blocks[m]^dag holds exactly.  The drive frequencies are
-    not stored here; the Sambe builder takes them explicitly.
-    """
-
-    blocks: dict
-    base_dim: int
-
-    def __post_init__(self):
-        for key, block in self.blocks.items():
-            if block.dim != self.base_dim:
-                raise DimensionError(
-                    f"drive block {key} has dim {block.dim}, expected {self.base_dim}"
-                )
-
 
 
 @dataclass(frozen=True)
@@ -123,7 +100,7 @@ def aah_static(n_sites: int, hopping: float, lambda0: float, alpha: float, theta
     return Operator(m)
 
 
-def aah_drive(n_sites: int, amplitude: float, alpha: float, theta: float = 0.0) -> FourierDrive:
+def aah_drive(n_sites: int, amplitude: float, alpha: float, theta: float = 0.0) -> dict:
     """Harmonic blocks of the onsite modulation A cos(w t) cos(2 pi alpha n + theta).
 
     A cosine tone splits evenly over the +1 and -1 harmonics, so both blocks
@@ -135,7 +112,7 @@ def aah_drive(n_sites: int, amplitude: float, alpha: float, theta: float = 0.0) 
     sites = np.arange(1, n_sites + 1)
     diag = np.diag(0.5 * amplitude * np.cos(2.0 * np.pi * alpha * sites + theta))
     block = Operator(diag)
-    return FourierDrive(blocks={1: block, -1: block}, base_dim=n_sites)
+    return {1: block, -1: block}
 
 
 def two_level_static(j_coupling: float) -> Operator:
@@ -146,7 +123,7 @@ def two_level_static(j_coupling: float) -> Operator:
     return Operator(m)
 
 
-def two_level_drive_mono(amplitude: float) -> FourierDrive:
+def two_level_drive_mono(amplitude: float) -> dict:
     """Single-tone bias drive s(t) sigma_z / 2 with s(t) = A cos(W t).
 
     The cosine and the 1/2 in front of sigma_z leave (A/4) sigma_z on the
@@ -155,10 +132,10 @@ def two_level_drive_mono(amplitude: float) -> FourierDrive:
     if amplitude < 0.0:
         raise ValueError("drive amplitude must be >= 0")
     block = Operator(0.25 * amplitude * _SIGMA_Z)
-    return FourierDrive(blocks={1: block, -1: block}, base_dim=2)
+    return {1: block, -1: block}
 
 
-def two_level_drive_duo(a_amplitude: float, b_amplitude: float) -> FourierDrive:
+def two_level_drive_duo(a_amplitude: float, b_amplitude: float) -> dict:
     """Two-tone bias drive with s(t) = A cos(W1 t) + B cos(W2 t).
 
     Blocks are keyed by harmonic pairs: (A/4) sigma_z on (+-1, 0) and
@@ -168,10 +145,7 @@ def two_level_drive_duo(a_amplitude: float, b_amplitude: float) -> FourierDrive:
         raise ValueError("drive amplitudes must be >= 0")
     block_a = Operator(0.25 * a_amplitude * _SIGMA_Z)
     block_b = Operator(0.25 * b_amplitude * _SIGMA_Z)
-    return FourierDrive(
-        blocks={(1, 0): block_a, (-1, 0): block_a, (0, 1): block_b, (0, -1): block_b},
-        base_dim=2,
-    )
+    return {(1, 0): block_a, (-1, 0): block_a, (0, 1): block_b, (0, -1): block_b}
 
 
 def domain_wall_site(n_cells: int) -> int:

@@ -3,10 +3,10 @@
 A drive with N incommensurate tones maps onto a block matrix over harmonic
 sectors m = (m1, ..., mN) with -M_i <= m_i <= M_i: the diagonal sectors hold
 h0 plus the ladder shift m1 w1 + ... + mN wN (hbar = 1), and sector (m, m')
-holds the drive block for harmonic m - m'.  In Kronecker form this is
-I_S (x) h0 + diag(m . w) (x) I_n + sum_k S_k (x) B_k.  Flat indices run
-site-fastest, then m1, then m2 and so on, so site profiles come out of a
-plain reshape; SambeIndexMap is the one owner of that order.
+holds the block B_(m - m') of the drive dict {k: B_k}.  In Kronecker form
+this is I_S (x) h0 + diag(m . w) (x) I_n + sum_k S_k (x) B_k.  Flat indices
+run site-fastest, then m1, then m2 and so on, so site profiles come out of
+a plain reshape; SambeIndexMap is the one owner of that order.
 
 Every two-site lift is offered two maps: the generalized parity
 P = sigma_x (x) (-1)^(sum m) behind coherent destruction of tunneling and
@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import DimensionError
 from .linalg import Operator, SignedPermutation
-from .models import FourierDrive
+
 
 @dataclass(frozen=True, eq=False)
 class SambeIndexMap:
@@ -68,23 +68,6 @@ class SambeIndexMap:
         shifted = np.asarray(harmonics) + np.array(self.truncations, dtype=int)
         return np.ravel_multi_index(tuple(np.moveaxis(shifted, -1, 0)[::-1]), self._shape)
 
-    def parity_pairing(self) -> tuple:
-        """(P, S) of a two-site base in flat order, as SignedPermutation maps.
-
-        P = sigma_x (x) (-1)^(sum m) swaps the two sites of every sector and
-        signs both by the sector's parity; S = J (x) (m -> -m) sends site 0
-        of sector m to site 1 of sector -m, and site 1 to minus site 0.
-        """
-        if self.base_dim != 2:
-            raise DimensionError(f"parity and pairing need a two-site base, got {self.base_dim}")
-        harmonics = self.harmonics
-        flat = np.arange(self.flat_dim)
-        site = flat % 2
-        parity = SignedPermutation(flat ^ 1, np.repeat((-1.0) ** harmonics.sum(axis=1), 2))
-        mirror = np.repeat(self.sectors(-harmonics), 2)
-        pairing = SignedPermutation(2 * mirror + 1 - site, 1.0 - 2.0 * site)
-        return parity, pairing
-
     def _by_sector(self, values) -> np.ndarray:
         """A flat extended-space vector as a (sector_count, base_dim) array."""
         v = np.asarray(values)
@@ -112,8 +95,19 @@ class SambeIndexMap:
 
 @functools.lru_cache(maxsize=16)
 def _two_level_maps(truncations: tuple) -> tuple:
-    """SambeIndexMap.parity_pairing of a two-site base, built once per truncation."""
-    return SambeIndexMap(base_dim=2, truncations=truncations).parity_pairing()
+    """(P, S) of a two-site base in flat order, built once per truncation.
+
+    P = sigma_x (x) (-1)^(sum m) swaps the two sites of every sector and
+    signs both by the sector's parity; S = J (x) (m -> -m) sends site 0
+    of sector m to site 1 of sector -m, and site 1 to minus site 0.
+    """
+    index_map = SambeIndexMap(base_dim=2, truncations=truncations)
+    harmonics, flat = index_map.harmonics, np.arange(index_map.flat_dim)
+    site = flat % 2
+    parity = SignedPermutation(flat ^ 1, np.repeat((-1.0) ** harmonics.sum(axis=1), 2))
+    mirror = np.repeat(index_map.sectors(-harmonics), 2)
+    pairing = SignedPermutation(2 * mirror + 1 - site, 1.0 - 2.0 * site)
+    return parity, pairing
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,16 +118,17 @@ class SambeOperator:
     index_map: SambeIndexMap
 
 
-def build_sambe(h0: Operator, drive: FourierDrive, omegas, truncations) -> SambeOperator:
+def build_sambe(h0: Operator, drive: dict, omegas, truncations) -> SambeOperator:
     """Lift h0 plus an N-tone drive onto the harmonic sectors |m_i| <= M_i.
 
-    Diagonal sectors hold h0 + (m . omega) I; sector (m, m - delta) holds the
-    drive block keyed by delta (an int for one tone, an N-tuple otherwise).
-    The lift is real when h0 and every drive block are real.  A two-site
-    lift is offered the maps of SambeIndexMap.parity_pairing, which Operator
-    keeps where they are exact symmetries of it.
-    A drive harmonic that couples no pair of retained sectors adds nothing.
-    A key with the wrong number of tones raises DimensionError.
+    drive maps a harmonic delta (int for one tone, N-tuple otherwise) to the
+    Operator B_delta on sectors (m, m - delta); diagonal sectors hold
+    h0 + (m . omega) I.  The lift is Hermitian when h0 is and
+    B_(-delta) = B_delta^dag, as for every cosine drive, and real when h0
+    and every block are.  Two-site lifts are offered _two_level_maps, which
+    Operator keeps where they are exact symmetries.  A harmonic coupling no
+    retained sector pair adds nothing; a block of the wrong dim or a key of
+    the wrong tone count raises DimensionError.
     """
     omegas = tuple(omegas)
     truncations = tuple(truncations)
@@ -141,17 +136,17 @@ def build_sambe(h0: Operator, drive: FourierDrive, omegas, truncations) -> Sambe
         raise DimensionError(f"{len(omegas)} frequencies for {len(truncations)} truncations")
     if any(w <= 0.0 for w in omegas):
         raise ValueError("drive frequencies must be positive")
-    if drive.base_dim != h0.dim:
-        raise DimensionError(f"drive base_dim {drive.base_dim} != h0 dim {h0.dim}")
     index_map = SambeIndexMap(base_dim=h0.dim, truncations=truncations)
     harmonics = index_map.harmonics
     n, s = h0.dim, index_map.sector_count
-    dtype = np.result_type(h0.entries, *(block.entries for block in drive.blocks.values()))
+    dtype = np.result_type(h0.entries, *(block.entries for block in drive.values()))
     mat = np.zeros((s, n, s, n), dtype=dtype)
     diag = np.arange(s)
     shifts = sum(harmonics[:, i] * w for i, w in enumerate(omegas))
     mat[diag, :, diag, :] = h0.entries + shifts[:, None, None] * np.eye(n, dtype=dtype)
-    for key, block in drive.blocks.items():
+    for key, block in drive.items():
+        if block.dim != n:
+            raise DimensionError(f"drive block {key!r} has dim {block.dim}, expected {n}")
         delta = np.atleast_1d(key)
         if delta.shape != (len(omegas),):
             raise DimensionError(f"drive key {key!r} does not name {len(omegas)} tones")
@@ -165,14 +160,14 @@ def build_sambe(h0: Operator, drive: FourierDrive, omegas, truncations) -> Sambe
     )
 
 
-def build_sambe_mono(h0: Operator, drive: FourierDrive, omega: float, truncation: int) -> SambeOperator:
+def build_sambe_mono(h0: Operator, drive: dict, omega: float, truncation: int) -> SambeOperator:
     """One-tone build_sambe: harmonics m = -M..M, drive keyed by int."""
     return build_sambe(h0, drive, (omega,), (truncation,))
 
 
 def build_sambe_duo(
     h0: Operator,
-    drive: FourierDrive,
+    drive: dict,
     omega1: float,
     omega2: float,
     truncation1: int,

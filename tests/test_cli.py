@@ -281,6 +281,46 @@ class TestCliExitCodes:
         assert grids == []
 
     @pytest.mark.parametrize(
+        "experiment, arg",
+        [("cdt-mono", "prominence=2"), ("aah", "bin_width=0"), ("ssh", "window=-1"),
+         ("bbh", "window=-1")],
+    )
+    def test_bounded_keys_fail_before_any_work(self, experiment, arg, tmp_path, monkeypatch, capsys):
+        # the solvers reject these too, but only after a sweep or a solve
+        calls = []
+        for name in ("build_sambe", "midgap_report", "monodromy_quasienergies_sweep"):
+            monkeypatch.setattr(experiments, name, lambda *a, name=name, **k: calls.append(name))
+        out = tmp_path / "out"
+        code = run_cli([experiment, "--out", str(out), "--set", arg])
+        assert code == 2
+        assert f"key {arg.split('=')[0]!r}" in capsys.readouterr().err
+        assert calls == []
+        assert not out.exists()
+
+    def test_cdt_duo_b0_reduction_mismatch_exits_3(self, tmp_path, monkeypatch, capsys):
+        # the B = 0 sweep and the one-tone sweep are the same lift; a one-part
+        # in 1e6 disagreement fails before the marked trajectories run
+        mono_point = experiments._cdt_mono_point
+
+        def skewed(u, p):
+            point = mono_point(u, p)
+            return {**point, "v_max_tot": point["v_max_tot"] * (1.0 + 1e-6)}
+
+        trajectories = []
+
+        def counted(*args, **kwargs):
+            trajectories.append(args)
+            return propagate(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "_cdt_mono_point", skewed)
+        monkeypatch.setattr(experiments, "propagate", counted)
+        args = ["a_count=2", "b_count=2", "truncation1=1", "truncation2=1", "n_periods=1"]
+        code = run_cli(["cdt-duo", "--out", str(tmp_path)] + [x for a in args for x in ("--set", a)])
+        assert code == 3
+        assert "differs from the one-tone sweep by 1.00e-06" in capsys.readouterr().err
+        assert trajectories == []
+
+    @pytest.mark.parametrize(
         "experiment, args, names",
         [
             # every r is 1.0, so soft_com and x_cm are constant columns

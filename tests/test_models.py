@@ -105,12 +105,12 @@ class TestAahStatic:
 class TestAahDrive:
     def test_zero_amplitude(self):
         drive = aah_drive(4, 0.0, 0.618)
-        assert np.abs(drive.blocks[1].entries).max() == 0.0
-        assert np.abs(drive.blocks[-1].entries).max() == 0.0
+        assert np.abs(drive[1].entries).max() == 0.0
+        assert np.abs(drive[-1].entries).max() == 0.0
 
     def test_single_site_block(self):
         drive = aah_drive(1, 2.0, 0.0, 0.0)
-        assert np.array_equal(drive.blocks[1].entries, np.array([[1.0 + 0.0j]]))
+        assert np.array_equal(drive[1].entries, np.array([[1.0 + 0.0j]]))
 
     def test_block_frobenius_norm(self):
         n, amp, alpha, theta = 80, 3.7, 0.618, 0.11
@@ -119,11 +119,11 @@ class TestAahDrive:
         for site in range(1, n + 1):
             direct += math.cos(2.0 * math.pi * alpha * site + theta) ** 2
         expected = 0.5 * amp * math.sqrt(direct)
-        assert np.linalg.norm(drive.blocks[1].entries) == pytest.approx(expected, rel=1e-12)
+        assert np.linalg.norm(drive[1].entries) == pytest.approx(expected, rel=1e-12)
 
     def test_conjugate_pair_exact(self):
         drive = aah_drive(6, 1.1, 0.618, 0.3)
-        assert np.array_equal(drive.blocks[-1].entries, drive.blocks[1].entries.conj().T)
+        assert np.array_equal(drive[-1].entries, drive[1].entries.conj().T)
 
 
 class TestTwoLevel:
@@ -147,23 +147,23 @@ class TestTwoLevel:
 
     def test_mono_blocks(self):
         drive = two_level_drive_mono(4.0)
-        assert np.array_equal(drive.blocks[1].entries, SZ.astype(complex))
-        assert np.array_equal(drive.blocks[-1].entries, SZ.astype(complex))
+        assert np.array_equal(drive[1].entries, SZ.astype(complex))
+        assert np.array_equal(drive[-1].entries, SZ.astype(complex))
         zero = two_level_drive_mono(0.0)
-        assert np.abs(zero.blocks[1].entries).max() == 0.0
+        assert np.abs(zero[1].entries).max() == 0.0
 
     def test_duo_blocks(self):
         drive = two_level_drive_duo(4.0, 8.0)
-        assert np.array_equal(drive.blocks[(0, 1)].entries, 2.0 * SZ.astype(complex))
-        assert np.array_equal(drive.blocks[(1, 0)].entries, SZ.astype(complex))
-        assert (2, 0) not in drive.blocks
+        assert np.array_equal(drive[(0, 1)].entries, 2.0 * SZ.astype(complex))
+        assert np.array_equal(drive[(1, 0)].entries, SZ.astype(complex))
+        assert (2, 0) not in drive
 
     def test_drive_conjugate_pairs(self):
         drive = two_level_drive_duo(1.7, 0.3)
         for key in ((1, 0), (0, 1)):
             mirrored = tuple(-k for k in key)
             assert np.array_equal(
-                drive.blocks[mirrored].entries, drive.blocks[key].entries.conj().T
+                drive[mirrored].entries, drive[key].entries.conj().T
             )
 
 

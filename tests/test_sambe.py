@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from locland import (
     DimensionError,
-    FourierDrive,
     Operator,
     SambeIndexMap,
     SshConfig,
@@ -27,6 +26,7 @@ from locland import (
     two_level_static,
 )
 from locland.experiments import SCHEMAS, RunConfig, _bounds_model
+from locland.sambe import _two_level_maps
 
 from oracles import parity_pairing_relations_hold, sambe_entry_oracle
 
@@ -76,7 +76,7 @@ class TestBuildMono:
     def test_replica_ladder_single_site(self):
         eps0 = 0.37
         h0 = Operator([[eps0]])
-        drive = FourierDrive(blocks={}, base_dim=1)
+        drive = {}
         lifted = build_sambe_mono(h0, drive, 1.0, 1)
         assert np.allclose(lifted.matrix.entries, np.diag([eps0 - 1.0, eps0, eps0 + 1.0]))
 
@@ -110,11 +110,9 @@ class TestBuildMono:
 
     def test_out_of_window_harmonics_truncated_with_note(self):
         far_block = Operator(0.5 * SZ)
-        drive = FourierDrive(blocks={5: far_block, -5: far_block}, base_dim=2)
+        drive = {5: far_block, -5: far_block}
         lifted = build_sambe_mono(two_level_static(1.0), drive, 10.0, 1)
-        reference = build_sambe_mono(
-            two_level_static(1.0), FourierDrive(blocks={}, base_dim=2), 10.0, 1
-        )
+        reference = build_sambe_mono(two_level_static(1.0), {}, 10.0, 1)
         assert np.array_equal(lifted.matrix.entries, reference.matrix.entries)
 
     def test_validation(self):
@@ -148,7 +146,7 @@ class TestBuildDuo:
 
     def test_pure_shift_spectrum(self):
         h0 = Operator([[0.0]])
-        drive = FourierDrive(blocks={}, base_dim=1)
+        drive = {}
         lifted = build_sambe_duo(h0, drive, 1.0, math.sqrt(2.0), 1, 1)
         eigs = np.sort(np.linalg.eigvalsh(lifted.matrix.entries))
         expected = np.sort(
@@ -257,7 +255,7 @@ class TestDtypeContract:
         ]
         drives = (aah_drive(6, 3.7, 0.618, 0.3), two_level_drive_mono(4.0), two_level_drive_duo(4.0, 8.0))
         for drive in drives:
-            ops += list(drive.blocks.values())
+            ops += list(drive.values())
         for model in ("hermitian_pd", "hn", "diag"):
             params = {key: entry.default for key, entry in SCHEMAS["bounds"].items()}
             params.update(model=model, n_sites=10, dimension=5)
@@ -277,7 +275,7 @@ class TestDtypeContract:
     def test_complex_drive_block_keeps_lift_complex(self):
         h0 = np.array([[0.3, -1.0], [-1.0, -0.2]])
         blocks = {1: np.array([[0.5, 0.25j], [0.0, -0.5]]), -1: np.array([[0.5, 0.0], [-0.25j, -0.5]])}
-        drive = FourierDrive(blocks={k: Operator(b) for k, b in blocks.items()}, base_dim=2)
+        drive = {k: Operator(b) for k, b in blocks.items()}
         lifted = build_sambe_mono(Operator(h0), drive, 10.0, 2)
         assert lifted.matrix.entries.dtype == np.complex128
         assert np.array_equal(lifted.matrix.entries, sambe_entry_oracle(h0, blocks, (10.0,), (2,)))
@@ -294,7 +292,7 @@ class TestBuildSambe:
 
     def test_three_tone_pure_shift_spectrum(self):
         omegas = (1.0, math.sqrt(2.0), math.sqrt(5.0))
-        lifted = build_sambe(Operator([[0.0]]), FourierDrive(blocks={}, base_dim=1), omegas, (1, 2, 1))
+        lifted = build_sambe(Operator([[0.0]]), {}, omegas, (1, 2, 1))
         eigs = np.sort(np.linalg.eigvalsh(lifted.matrix.entries))
         expected = np.sort(
             [
@@ -326,7 +324,7 @@ class TestBuildSambe:
 
         h0 = random_matrix()
         blocks = {k[0] if tones == 1 else k: random_matrix() for k in keys}
-        drive = FourierDrive(blocks={k: Operator(b) for k, b in blocks.items()}, base_dim=n)
+        drive = {k: Operator(b) for k, b in blocks.items()}
         lifted = build_sambe(Operator(h0), drive, omegas, truncations)
         expected = sambe_entry_oracle(h0, blocks, omegas, truncations)
         assert np.array_equal(lifted.matrix.entries, expected)
@@ -356,13 +354,11 @@ class TestParityPairing:
 
     def test_maps_in_flat_order(self):
         # sectors m = -1, 0, 1 of one tone, two sites each
-        parity, pairing = SambeIndexMap(base_dim=2, truncations=(1,)).parity_pairing()
+        parity, pairing = _two_level_maps((1,))
         assert parity.index.tolist() == [1, 0, 3, 2, 5, 4]
         assert parity.sign.tolist() == [-1.0, -1.0, 1.0, 1.0, -1.0, -1.0]
         assert pairing.index.tolist() == [5, 4, 3, 2, 1, 0]
         assert pairing.sign.tolist() == [1.0, -1.0, 1.0, -1.0, 1.0, -1.0]
-        with pytest.raises(DimensionError):
-            SambeIndexMap(base_dim=3, truncations=(1,)).parity_pairing()
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
@@ -398,9 +394,7 @@ class TestParityPairing:
             which, i, j, shift = flaw
             (h0 if which == 0 else blocks[keys[which - 1]])[i, j] += shift
 
-        drive = FourierDrive(
-            blocks={k[0] if tones == 1 else k: Operator(b) for k, b in blocks.items()}, base_dim=2
-        )
+        drive = {k[0] if tones == 1 else k: Operator(b) for k, b in blocks.items()}
         lifted = build_sambe(Operator(h0), drive, omegas, truncations)
         kept = lifted.matrix.parity_pairing is not None
         assert kept == parity_pairing_relations_hold(h0, blocks)
