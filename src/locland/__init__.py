@@ -8,7 +8,6 @@ and topological midgap modes.
 
 from .diagnostics import (
     MidgapMode,
-    MidgapReport,
     SweepReport,
     average_right_density,
     detect_peaks,

@@ -1,10 +1,12 @@
 """Reference observables the landscape is validated against.
 
 Eigenstate densities, folded quasienergy histograms, rank/linear
-correlation statistics, peak detection for sweep curves, and the
-midgap-mode report used by the topology experiments.  SweepReport is
-the common container every experiment serializes; write_csv and write_json
-are the one writer of each file format.
+correlation statistics, peak detection for sweep curves, and the midgap
+modes the topology experiments read off the spectrum of a solved
+landscape.  This module reads factorizations and never solves a
+landscape; experiments does.  SweepReport is the common container every
+experiment serializes; write_csv and write_json are the one writer of
+each file format.
 """
 
 from __future__ import annotations
@@ -15,8 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateInputError, DimensionError, HermiticityError
-from .landscape import LandscapeResult, solve_landscape
-from .linalg import DEFAULT_RCOND, EigResult, Operator, eig_general, gauge_eigh
+from .linalg import EigResult, Operator, Spectrum, eig_general, gauge_eigh
 
 
 def average_right_density(op: Operator, gauge_eig: EigResult | None = None) -> np.ndarray:
@@ -162,19 +163,6 @@ class MidgapMode:
     argmax_site: int  # 1-based peak_site of weight
 
 
-@dataclass(frozen=True, eq=False)
-class MidgapReport:
-    """Midgap modes of H next to the landscape peak of the same H.
-
-    Both are read from one factorization, carried in ``landscape``.
-    """
-
-    modes: list
-    landscape_argmax_site: int  # 1-based peak_site of landscape.peak_profile
-    window: float
-    landscape: LandscapeResult
-
-
 #: sites within this relative distance of a profile's maximum tie for its peak
 PEAK_TIE_RTOL = 1e-12
 
@@ -197,46 +185,30 @@ def estimate_midgap_window(eigenvalues: np.ndarray) -> float:
     return 0.1 * float(np.diff(e).max())
 
 
-def midgap_report(
-    op: Operator,
-    energy_window: float | None = None,
-    rcond: float = DEFAULT_RCOND,
-) -> MidgapReport:
-    """All eigenpairs of a Hermitian H with |E| inside the midgap window.
+def midgap_report(spectrum: Spectrum | None, energy_window: float | None = None) -> list:
+    """MidgapModes of the eigenpairs of a Hermitian H with |E| inside the midgap window.
 
-    The window defaults to 10% of the largest spectral gap.  Each entry
-    carries the site weight profile and its peak site; the report also
-    records where the landscape of the same H peaks (the peak site of its
-    peak_profile), which is the colocalization cross-reference used by the
-    topology experiments.  Modes and landscape come from the one
-    factorization of H inside solve_landscape, with any imaginary gauge
-    dropped; a non-Hermitian H raises HermiticityError.
+    spectrum is the factorization a landscape solve of H holds
+    (LandscapeResult.spectrum), so the modes and that landscape come from
+    one factorization.  The window defaults to 10% of the largest spectral
+    gap.  A spectrum without energies (non-Hermitian H), or none (a
+    gauge-route solve), raises HermiticityError.
     """
-    landscape = solve_landscape(op if op.log_gauge is None else Operator(op.entries), rcond)
-    energies = landscape.spectrum.energies
-    if energies is None:
-        raise HermiticityError("midgap_report requires an exactly Hermitian operator")
+    if spectrum is None or spectrum.energies is None:
+        raise HermiticityError(
+            "midgap modes need the energies of a Hermitian H; solve Operator(op.entries) instead"
+        )
+    energies = spectrum.energies
     if energy_window is None:
         energy_window = estimate_midgap_window(energies)
     if energy_window < 0.0:
         raise ValueError("energy_window must be positive")
     modes = []
     for k in np.flatnonzero(np.abs(energies) < energy_window):
-        weight = np.abs(landscape.spectrum.right[:, k]) ** 2
+        weight = np.abs(spectrum.right[:, k]) ** 2
         weight = weight / weight.sum()
-        modes.append(
-            MidgapMode(
-                energy=complex(energies[k]),
-                weight=weight,
-                argmax_site=peak_site(weight),
-            )
-        )
-    return MidgapReport(
-        modes=modes,
-        landscape_argmax_site=peak_site(landscape.peak_profile),
-        window=float(energy_window),
-        landscape=landscape,
-    )
+        modes.append(MidgapMode(complex(energies[k]), weight, peak_site(weight)))
+    return modes
 
 
 # ---------------------------------------------------------------------------

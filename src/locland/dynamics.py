@@ -72,7 +72,10 @@ class Trajectory:
 
 
 def _norm_drift(states: np.ndarray) -> float:
-    return float(np.abs(np.linalg.norm(states, axis=-1) - 1.0).max())
+    """Largest | ||psi|| - 1 | over the states; inf once any state is not finite,
+    so a blown-up block cannot hide behind max()."""
+    drift = float(np.abs(np.linalg.norm(states, axis=-1) - 1.0).max())
+    return drift if math.isfinite(drift) else math.inf
 
 
 def _drive_arrays(amplitudes, frequencies):
@@ -284,7 +287,7 @@ def monodromy_quasienergies_sweep(
     # stacked rows are U^T blocks: undo the transpose
     u = block[-1].reshape(amps.size, 2, 2).transpose(0, 2, 1)
     defect = float(np.abs(u.conj().transpose(0, 2, 1) @ u - np.eye(2)).max())
-    if defect > 1e-8:
+    if not defect <= 1e-8:  # NaN fails too
         raise AccuracyError(f"monodromy propagator non-unitary at {defect:.2e}; reduce dt")
     eps = np.sort(fold_quasienergy(-np.angle(np.linalg.eigvals(u)) / period, omega), axis=1)
     return (eps, defect) if with_defect else eps

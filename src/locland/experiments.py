@@ -21,6 +21,7 @@ from .diagnostics import (
     detect_peaks,
     floquet_dos,
     midgap_report,
+    peak_site,
     pearson,
     spearman,
     write_csv,
@@ -60,13 +61,10 @@ class Field:
     """A config key's default and the range its value must lie in.
 
     Text given for the key is parsed as type(default).  minimum is an
-    inclusive floor: on the counts (the points of a swept axis, where
-    cdt-mono detects peaks on three; RK4 steps per period of the fastest
-    tone; periods; stride), the harmonic truncations, the drive amplitudes
-    and the midgap window (0 picks it automatically).  open_interval is an
-    exclusive (low, high) range: J > 0, and rcond, the peak prominence and
-    the DOS bin width in (0, 1).  resolve_config checks both before any
-    work.
+    inclusive floor and open_interval an exclusive (low, high) range; a key
+    may have either, both or neither.  resolve_config checks both before
+    the output directory is made or any work starts, so a value the run
+    would reject later fails at once.
     """
 
     default: object
@@ -92,7 +90,7 @@ class RunConfig:
 # one schema per experiment; unknown keys are rejected during resolution
 SCHEMAS = {
     "hn": {
-        "n_sites": Field(120),
+        "n_sites": Field(120, minimum=2),
         "t_left": Field(1.0),
         "r_min": Field(0.7),
         "r_max": Field(1.3),
@@ -104,7 +102,7 @@ SCHEMAS = {
     },
     "cdt-mono": {
         "j_coupling": Field(1.0, open_interval=(0.0, math.inf)),
-        "omega": Field(10.0),
+        "omega": Field(10.0, open_interval=(0.0, math.inf)),
         "amp_min": Field(0.0, minimum=0.0),  # amplitudes in units of A / (hbar omega)
         "amp_max": Field(10.0, minimum=0.0),
         "amp_count": Field(500, minimum=3),
@@ -115,8 +113,8 @@ SCHEMAS = {
     },
     "cdt-duo": {
         "j_coupling": Field(1.0, open_interval=(0.0, math.inf)),
-        "omega1": Field(10.0),
-        "omega2_ratio": Field(SQRT2),
+        "omega1": Field(10.0, open_interval=(0.0, math.inf)),
+        "omega2_ratio": Field(SQRT2, open_interval=(0.0, math.inf)),
         "amp_min": Field(0.0, minimum=0.0),
         "amp_max": Field(10.0, minimum=0.0),
         "a_count": Field(21, minimum=2),
@@ -129,21 +127,21 @@ SCHEMAS = {
         "traj_stride": Field(100, minimum=1),
     },
     "aah": {
-        "n_sites": Field(80),
+        "n_sites": Field(80, minimum=2),
         "hopping": Field(1.0),
         "lambda0": Field(2.8),
         "amplitude": Field(3.7),
         "alpha": Field(GOLDEN_RATIO_CONJUGATE),
         "theta": Field(0.0),
-        "omega_min": Field(1.0),
-        "omega_max": Field(10.0),
+        "omega_min": Field(1.0, open_interval=(0.0, math.inf)),
+        "omega_max": Field(10.0, open_interval=(0.0, math.inf)),
         "omega_count": Field(60, minimum=2),
         "truncation": Field(6, minimum=0),
         "bin_width": Field(0.01, open_interval=(0.0, 1.0)),
         "rcond": Field(1e-12, open_interval=(0.0, 1.0)),
     },
     "ssh": {
-        "n_cells": Field(20),
+        "n_cells": Field(20, minimum=2),
         "t_weak": Field(0.5),
         "t_strong": Field(1.0),
         # near-zero singular directions are the topology signal; the tiny
@@ -153,8 +151,8 @@ SCHEMAS = {
         "window": Field(0.0, minimum=0.0),  # 0 -> automatic midgap window
     },
     "bbh": {
-        "n_x": Field(6),
-        "n_y": Field(6),
+        "n_x": Field(6, minimum=2),
+        "n_y": Field(6, minimum=2),
         "gamma": Field(0.5),
         "lam": Field(1.0),
         "rcond": Field(1e-12, open_interval=(0.0, 1.0)),
@@ -162,7 +160,7 @@ SCHEMAS = {
     },
     "bounds": {
         "model": Field("hermitian_pd"),  # hermitian_pd | hn | diag
-        "dimension": Field(30),
+        "dimension": Field(30, minimum=1),
         "epsilon": Field(1e-3),
         "n_sites": Field(120),
         "t_left": Field(1.0),
@@ -325,11 +323,11 @@ def _cdt_duo_point(pair, p: dict) -> dict:
 PARTIAL_LEFT_STATE = np.array([math.sqrt(3.0) / 2.0, 0.5], dtype=complex)
 
 #: largest RK4 norm drift allowed on the min_PL grid and the marked
-#: trajectories (exit 3 above)
+#: trajectories (exit 3 above, and on NaN: each gate tests `not x <= limit`)
 NORM_DRIFT_LIMIT = 1e-7
 
 #: largest relative v_max difference allowed between the B = 0 sweep at
-#: truncation2 = 0 and the one-tone sweep, which are the same lift (exit 3)
+#: truncation2 = 0 and the one-tone sweep, which are the same lift (exit 3, NaN too)
 REDUCTION_LIMIT = 1e-8
 
 
@@ -349,7 +347,7 @@ def run_cdt_duo(config: RunConfig) -> SweepReport:
     min_pl, grid_drift = min_left_population_grid(
         p["j_coupling"], amp_pairs, (omega1, omega2), psi_left, p["n_periods"], dt
     )
-    if grid_drift > NORM_DRIFT_LIMIT:
+    if not grid_drift <= NORM_DRIFT_LIMIT:
         raise AccuracyError(f"min_PL grid drifts from unit norm by {grid_drift:.2e}; reduce dt")
     table = _grid_map(lambda pair: _cdt_duo_point(pair, p), grid_pairs)
     table["min_PL"] = min_pl
@@ -364,7 +362,7 @@ def run_cdt_duo(config: RunConfig) -> SweepReport:
     b0_p = {**p, "truncation2": 0}
     duo_b0 = np.array([_cdt_duo_point((a, 0.0), b0_p)["v_max_tot"] for a in a_us])
     reduction_diff = float(np.abs(duo_b0 - mono).max() / np.abs(mono).max())
-    if reduction_diff > REDUCTION_LIMIT:
+    if not reduction_diff <= REDUCTION_LIMIT:
         raise AccuracyError(f"B = 0 sweep differs from the one-tone sweep by {reduction_diff:.2e}")
     b0_row = vmax.reshape(p["a_count"], p["b_count"])[:, 0]
     full_row_diff = float(np.abs(b0_row - mono).max() / np.abs(mono).max())
@@ -385,7 +383,7 @@ def run_cdt_duo(config: RunConfig) -> SweepReport:
     t_end = p["n_periods"] * 2.0 * math.pi / omega1
     traj = propagate(drive, psi0, t_end, dt, stride=p["traj_stride"])
     drift = traj.max_norm_drift
-    if drift > NORM_DRIFT_LIMIT:
+    if not drift <= NORM_DRIFT_LIMIT:
         raise AccuracyError(f"marked trajectories drift from unit norm by {drift:.2e}; reduce dt")
     for k, (tag, state) in enumerate(runs):
         write_csv(
@@ -431,7 +429,7 @@ def run_cdt_duo(config: RunConfig) -> SweepReport:
 # ---------------------------------------------------------------------------
 
 
-#: largest deviation of a Floquet DOS column from integrating to 1 (exit 3 above)
+#: largest deviation of a Floquet DOS column from integrating to 1 (exit 3 above or NaN)
 DOS_NORM_LIMIT = 1e-12
 
 
@@ -460,7 +458,7 @@ def run_aah(config: RunConfig) -> SweepReport:
     write_csv(config.out_dir / "dos_grid.csv", header, [centers, *dos])
     # uniform bins tile [-1/2, 1/2), so each bin is 1 / n_bins wide
     dos_error = float(np.abs(dos.sum(axis=1) / centers.size - 1.0).max())
-    if dos_error > DOS_NORM_LIMIT:
+    if not dos_error <= DOS_NORM_LIMIT:
         raise AccuracyError(f"a Floquet DOS column integrates to 1 only within {dos_error:.2e}")
     vmax = table["v_max_tot"]
     low = vmax[omegas <= 4.0]
@@ -491,57 +489,56 @@ def run_ssh(config: RunConfig) -> SweepReport:
     p = config.params
     window = p["window"] or None
     variants = ("topological", "trivial", "domain_wall")
-    reports = {}
+    landscapes, modes, peaks = {}, {}, {}
     for variant in variants:
         if variant == "trivial":
             cfg = SshConfig(variant, p["n_cells"], t_intra=p["t_strong"], t_inter=p["t_weak"])
         else:
             cfg = SshConfig(variant, p["n_cells"], t_intra=p["t_weak"], t_inter=p["t_strong"])
         op = ssh(cfg)
-        rep = reports[variant] = midgap_report(op, window, p["rcond"])
-        res = rep.landscape
+        res = landscapes[variant] = solve_landscape(op, p["rcond"])
+        modes[variant] = midgap_report(res.spectrum, window)
+        peaks[variant] = peak_site(res.peak_profile)
         # exact kernels (domain wall) are dropped by the pseudoinverse; the
         # diverging landscape direction they carry is reported separately
         sites = np.arange(1, op.dim + 1)
         cols = [sites, res.amplitude, res.amplitude / res.amplitude.max(), res.near_null]
         header = ["site", "landscape_amp", "landscape_norm", "near_null_amp"]
-        for k, mode in enumerate(rep.modes):
+        for k, mode in enumerate(modes[variant]):
             header.append(f"midgap_weight_{k}")
             cols.append(mode.weight)
         write_csv(config.out_dir / f"profile_{variant}.csv", header, cols)
 
-    top, trivial, dw = (reports[v] for v in variants)
-    sigma_ratio = trivial.landscape.sigma_min / top.landscape.sigma_min
+    top, top_modes, dw_modes = landscapes["topological"], modes["topological"], modes["domain_wall"]
+    sigma_ratio = landscapes["trivial"].sigma_min / top.sigma_min
     wall = domain_wall_site(p["n_cells"])
     checks = {
-        "topological_mode_count_is_2": len(top.modes) == 2,
-        "trivial_mode_count_is_0": len(trivial.modes) == 0,
-        "domain_wall_mode_count_is_1": len(dw.modes) == 1,
+        "topological_mode_count_is_2": len(top_modes) == 2,
+        "trivial_mode_count_is_0": len(modes["trivial"]) == 0,
+        "domain_wall_mode_count_is_1": len(dw_modes) == 1,
         "sigma_ratio_at_least_100": bool(sigma_ratio >= 100.0),
     }
     # colocalized: the landscape reaches half its maximum within 3 sites of
     # every topological mode, and peaks within 3 sites of one of them
-    profile = top.landscape.peak_profile
+    profile = top.peak_profile
     checks["topological_colocalized"] = bool(
         all(
             profile[max(0, m.argmax_site - 4) : m.argmax_site + 3].max() >= 0.5 * profile.max()
-            for m in top.modes
+            for m in top_modes
         )
-        and any(abs(top.landscape_argmax_site - m.argmax_site) <= 3 for m in top.modes)
+        and any(abs(peaks["topological"] - m.argmax_site) <= 3 for m in top_modes)
     )
-    checks["domain_wall_mode_at_wall"] = bool(
-        dw.modes and abs(dw.modes[0].argmax_site - wall) <= 1
-    )
-    checks["domain_wall_landscape_at_wall"] = bool(abs(dw.landscape_argmax_site - wall) <= 3)
-    rows = list(reports.values())
+    checks["domain_wall_mode_at_wall"] = bool(dw_modes and abs(dw_modes[0].argmax_site - wall) <= 1)
+    checks["domain_wall_landscape_at_wall"] = bool(abs(peaks["domain_wall"] - wall) <= 3)
+    rows = list(landscapes.values())
     return SweepReport(
         axes={"variant_index": np.arange(float(len(rows)))},
         columns={
-            "n_midgap": np.array([len(r.modes) for r in rows], dtype=float),
-            "sigma_min": np.array([r.landscape.sigma_min for r in rows]),
-            "v_max_tot": np.array([r.landscape.v_max for r in rows]),
-            "landscape_argmax_site": np.array([float(r.landscape_argmax_site) for r in rows]),
-            "discarded_rank": np.array([r.landscape.discarded_rank for r in rows]),
+            "n_midgap": np.array([len(m) for m in modes.values()], dtype=float),
+            "sigma_min": np.array([res.sigma_min for res in rows]),
+            "v_max_tot": np.array([res.v_max for res in rows]),
+            "landscape_argmax_site": np.array([float(peak) for peak in peaks.values()]),
+            "discarded_rank": np.array([res.discarded_rank for res in rows]),
         },
         metadata={
             "experiment": "ssh",
@@ -559,8 +556,8 @@ def run_bbh(config: RunConfig) -> SweepReport:
     window = p["window"] or None
     n_x, n_y = p["n_x"], p["n_y"]
     op = bbh(n_x, n_y, p["gamma"], p["lam"])
-    rep = midgap_report(op, window, p["rcond"])
-    res = rep.landscape
+    res = solve_landscape(op, p["rcond"])
+    modes = midgap_report(res.spectrum, window)
     site_x, site_y = bbh_site_coords(np.arange(op.dim), n_x)
     write_csv(
         config.out_dir / "landscape_grid.csv",
@@ -577,12 +574,12 @@ def run_bbh(config: RunConfig) -> SweepReport:
         [np.maximum(abs(cell_x - cx), abs(cell_y - cy)) for cx, cy in corner_cells], axis=0
     )
     # the midgap projector's diagonal: no basis of a degenerate pair changes it
-    midgap_weight = sum((m.weight for m in rep.modes), np.zeros(op.dim))
-    land = rep.landscape_argmax_site - 1
+    midgap_weight = sum((m.weight for m in modes), np.zeros(op.dim))
+    land = peak_site(res.peak_profile) - 1
     checks = {
-        "midgap_count_is_4": len(rep.modes) == 4,
+        "midgap_count_is_4": len(modes) == 4,
         "modes_at_corners": bool(
-            rep.modes and all(corner_distance[m.argmax_site - 1] <= 1 for m in rep.modes)
+            modes and all(corner_distance[m.argmax_site - 1] <= 1 for m in modes)
         ),
         "landscape_peak_every_corner": bool(
             min(res.amplitude[cell].max() for cell in in_corner) >= 0.5 * res.amplitude.max()
@@ -592,14 +589,14 @@ def run_bbh(config: RunConfig) -> SweepReport:
     return SweepReport(
         axes={"gamma": np.array([p["gamma"]])},
         columns={
-            "n_midgap": np.array([float(len(rep.modes))]),
+            "n_midgap": np.array([float(len(modes))]),
             "sigma_min": np.array([res.sigma_min]),
             "v_max_tot": np.array([res.v_max]),
             "discarded_rank": np.array([res.discarded_rank]),
         },
         metadata={
             "experiment": "bbh",
-            "midgap_energies": [complex(m.energy).real for m in rep.modes],
+            "midgap_energies": [complex(m.energy).real for m in modes],
             "corner_midgap_weight": [float(midgap_weight[cell].sum()) for cell in in_corner],
             "landscape_argmax_coords": [int(site_x[land]), int(site_y[land])],
             "checks": checks,

@@ -84,13 +84,17 @@ class LandscapeResult:
         """Whether v_max <= ||v||_2 <= sqrt(d) / sigma_min^2 holds, to _BOUND_RTOL.
 
         None where the chain says nothing: a degenerate solve or sigma_min = 0.
+        The right-hand side is checked multiplied out, so a sigma_min^2 that
+        underflows to 0 leaves that bound +inf instead of dividing by zero.
         """
         if self.degenerate or self.sigma_min <= 0.0:
             return None
         slack = 1.0 + _BOUND_RTOL
         l2 = self.norm2
-        cap = math.sqrt(self.amplitude.size) / self.sigma_min**2
-        return bool(self.v_max <= l2 * slack and l2 <= cap * slack)
+        return bool(
+            self.v_max <= l2 * slack
+            and l2 * self.sigma_min**2 <= math.sqrt(self.amplitude.size) * slack
+        )
 
 
 def _peak_profile(near_null: np.ndarray, amplitude: np.ndarray) -> np.ndarray:

@@ -280,15 +280,38 @@ class TestCliExitCodes:
         assert f"key {arg.split('=')[0]!r}" in capsys.readouterr().err
         assert grids == []
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_rk4_blow_up_exits_3(self, tmp_path, monkeypatch, capsys):
+        # J dt = 31: the min_PL grid overflows to NaN, which its drift gate
+        # must reject before any lift is built or trajectory written
+        lifts = []
+
+        def counted(*args):
+            lifts.append(args)
+            return build_sambe(*args)
+
+        monkeypatch.setattr(experiments, "build_sambe", counted)
+        args = ["omega1=0.001", "steps_per_period=200", "a_count=2", "b_count=2", "n_periods=1",
+                "truncation1=1", "truncation2=1"]
+        code = run_cli(["cdt-duo", "--out", str(tmp_path)] + [x for a in args for x in ("--set", a)])
+        assert code == 3
+        assert "min_PL grid drifts from unit norm by inf" in capsys.readouterr().err
+        assert not list(tmp_path.glob("trajectory_*.csv"))
+        assert lifts == []
+
     @pytest.mark.parametrize(
         "experiment, arg",
         [("cdt-mono", "prominence=2"), ("aah", "bin_width=0"), ("ssh", "window=-1"),
-         ("bbh", "window=-1")],
+         ("bbh", "window=-1"), ("cdt-mono", "omega=0"), ("cdt-duo", "omega1=0"),
+         ("cdt-duo", "omega2_ratio=-1"), ("aah", "omega_min=0"), ("aah", "omega_max=-2"),
+         ("hn", "n_sites=1"), ("aah", "n_sites=1"), ("ssh", "n_cells=1"), ("bbh", "n_x=1"),
+         ("bbh", "n_y=0"), ("bounds", "dimension=0")],
     )
     def test_bounded_keys_fail_before_any_work(self, experiment, arg, tmp_path, monkeypatch, capsys):
         # the solvers reject these too, but only after a sweep or a solve
         calls = []
-        for name in ("build_sambe", "midgap_report", "monodromy_quasienergies_sweep"):
+        for name in ("build_sambe", "midgap_report", "monodromy_quasienergies_sweep",
+                     "min_left_population_grid", "solve_landscape"):
             monkeypatch.setattr(experiments, name, lambda *a, name=name, **k: calls.append(name))
         out = tmp_path / "out"
         code = run_cli([experiment, "--out", str(out), "--set", arg])

@@ -23,10 +23,11 @@ from locland import (
     hatano_nelson,
     midgap_report,
     pearson,
+    solve_landscape,
     spearman,
     ssh,
 )
-from locland.diagnostics import _average_ranks, peak_site, write_csv
+from locland.diagnostics import _average_ranks, estimate_midgap_window, peak_site, write_csv
 from locland.linalg import weighted_mean_site
 
 from conftest import random_complex
@@ -268,20 +269,20 @@ class TestDetectPeaks:
 
 class TestMidgapReport:
     def test_trivial_chain_empty(self):
-        report = midgap_report(ssh(SshConfig("trivial", 20, t_intra=1.0, t_inter=0.5)))
-        assert report.modes == []
-        assert report.window > 0.0
+        res = solve_landscape(ssh(SshConfig("trivial", 20, t_intra=1.0, t_inter=0.5)))
+        modes = midgap_report(res.spectrum)
+        assert modes == []
+        assert estimate_midgap_window(res.spectrum.energies) > 0.0
 
     def test_topological_chain_two_edge_modes(self):
-        report = midgap_report(
-            ssh(SshConfig("topological", 20, t_intra=0.5, t_inter=1.0)), rcond=1e-30
-        )
-        assert len(report.modes) == 2
+        res = solve_landscape(ssh(SshConfig("topological", 20, t_intra=0.5, t_inter=1.0)), 1e-30)
+        modes = midgap_report(res.spectrum)
+        assert len(modes) == 2
         ends = {1, 40}
-        for mode in report.modes:
+        for mode in modes:
             assert min(abs(mode.argmax_site - e) for e in ends) <= 3
             assert abs(mode.energy) < 1e-3
-        assert min(abs(report.landscape_argmax_site - e) for e in ends) <= 3
+        assert min(abs(peak_site(res.peak_profile) - e) for e in ends) <= 3
 
     @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
     @pytest.mark.parametrize("n_cells", [20, 31])
@@ -290,30 +291,37 @@ class TestMidgapReport:
         # complex cast bypasses the Operator dtype rule to reach complex LAPACK
         op = ssh(SshConfig("topological", n_cells, t_intra=0.5, t_inter=1.0))
         object.__setattr__(op, "entries", op.entries.astype(dtype))
-        report = midgap_report(op, rcond=1e-24)
-        assert report.landscape.spectrum.right.dtype == dtype
-        assert report.landscape_argmax_site == 1
-        assert [mode.argmax_site for mode in report.modes] == [1, 1]
+        res = solve_landscape(op, 1e-24)
+        modes = midgap_report(res.spectrum)
+        assert res.spectrum.right.dtype == dtype
+        assert peak_site(res.peak_profile) == 1
+        assert [mode.argmax_site for mode in modes] == [1, 1]
 
     def test_bbh_four_corner_modes(self):
-        report = midgap_report(bbh(6, 6, 0.5, 1.0))
-        assert len(report.modes) == 4
+        modes = midgap_report(solve_landscape(bbh(6, 6, 0.5, 1.0)).spectrum)
+        assert len(modes) == 4
         corners = [(1, 1), (12, 1), (1, 12), (12, 12)]
-        for mode in report.modes:
+        for mode in modes:
             coords = bbh_site_coords(mode.argmax_site - 1, 6)
             assert min(max(abs(coords[0] - c[0]), abs(coords[1] - c[1])) for c in corners) <= 1
 
-    def test_gauge_is_dropped(self):
-        # an even Hatano-Nelson chain carries an imaginary gauge; r = 1 is Hermitian
-        report = midgap_report(hatano_nelson(20, 1.0, 1.0))
-        assert report.landscape.spectrum.energies is not None
+    def test_gauge_route_needs_operator_entries(self):
+        # an even Hatano-Nelson chain carries an imaginary gauge, so its solve
+        # has no spectrum of H; r = 1 is Hermitian once the gauge is dropped
+        op = hatano_nelson(20, 1.0, 1.0)
+        with pytest.raises(HermiticityError, match=r"Operator\(op.entries\)"):
+            midgap_report(solve_landscape(op).spectrum)
+        # the uniform even chain has no level near E = 0
+        assert midgap_report(solve_landscape(Operator(op.entries)).spectrum) == []
+        skewed = solve_landscape(Operator(hatano_nelson(20, 1.0, 1.3).entries))
         with pytest.raises(HermiticityError):
-            midgap_report(hatano_nelson(20, 1.0, 1.3))
+            midgap_report(skewed.spectrum)
 
     def test_explicit_window(self):
-        report = midgap_report(Operator(np.diag([0.05, -0.2, 1.0])), energy_window=0.1)
-        assert len(report.modes) == 1
-        assert report.modes[0].energy == pytest.approx(0.05)
+        res = solve_landscape(Operator(np.diag([0.05, -0.2, 1.0])))
+        modes = midgap_report(res.spectrum, energy_window=0.1)
+        assert len(modes) == 1
+        assert modes[0].energy == pytest.approx(0.05)
 
 
 class TestPeakSite:

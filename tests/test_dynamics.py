@@ -288,6 +288,27 @@ class TestMonodromy:
         assert min(abs(eps[0]), abs(eps[1])) == pytest.approx(sambe_min, abs=1e-6)
 
 
+class TestBlowUp:
+    """RK4 at J dt = 31 overflows to NaN within 200 steps; every gate must see it."""
+
+    OMEGA = 1e-3
+    PERIOD = 2.0 * math.pi / OMEGA
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_batch_drift_is_not_finite(self):
+        dt = self.PERIOD / 200
+        traj = propagate(DriveSignal(1.0, (0.0,), (self.OMEGA,)), LEFT, self.PERIOD, dt=dt)
+        assert not np.isfinite(traj.states[-1]).all()
+        assert not math.isfinite(traj.max_norm_drift)
+        _, drift = min_left_population_grid(1.0, [[0.0]], (self.OMEGA,), LEFT, 1, dt)
+        assert not math.isfinite(drift)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_sweep_raises_accuracy_error(self):
+        with pytest.raises(AccuracyError, match="non-unitary"):
+            monodromy_quasienergies_sweep(1.0, [0.0], self.OMEGA, self.PERIOD / 200)
+
+
 class TestQuasienergyGap:
     def test_plain_distance(self):
         assert quasienergy_gap((-0.2, 0.3), 10.0) == pytest.approx(0.5)

@@ -223,6 +223,19 @@ class TestLandscapeInvariants:
                 discarded_rank=0,
             )
 
+    def test_norm_chain_when_sigma_min_squared_underflows(self):
+        # sigma_min^2 = 0 in float64, so sqrt(d) / sigma_min^2 is +inf
+        res = LandscapeResult(
+            amplitude=np.array([3.0, 1.0]),
+            v_complex=np.array([3.0, -1.0]),
+            v_max=3.0,
+            soft_com=1.25,
+            sigma_min=1e-200,
+            rcond_used=1e-12,
+            discarded_rank=1,
+        )
+        assert res.norm_bound_chain is True
+
     def test_pseudoinverse_route_consistency(self, rng):
         # svd-of-H solve against the eigendecomposition-of-H^dag-H solve
         for n in (4, 9, 16):

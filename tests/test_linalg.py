@@ -123,7 +123,7 @@ class TestEigHermitian:
         assert res.energies is None
         assert np.allclose(np.sort(res.sigma), [0.0, 1.0])
         with pytest.raises(HermiticityError):
-            midgap_report(Operator([[0, 1], [0, 0]]))
+            midgap_report(res)
 
 
 class TestFactorize:

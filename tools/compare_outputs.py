@@ -38,8 +38,11 @@ EXCLUDED = {"manifest.json"}
 #: bounds models), a three-point cdt-mono sweep, a cdt-duo plane whose
 #: second tone is the slower one, an aah lift whose cutoff drops a
 #: direction (discarded_rank 1 at omega = 2.8), so soft_com follows near_null,
-#: and a cdt-duo plane whose cutoff drops a +-lambda pair of the half-size
-#: route (discarded_rank 2 at three of its nine points)
+#: a cdt-duo plane whose cutoff drops a +-lambda pair of the half-size
+#: route (discarded_rank 2 at three of its nine points), and three exit
+#: paths: a zero frequency (rejected at resolve time, exit 2), an RK4 step
+#: that overflows to NaN (the monodromy unitarity gate, exit 3) and a
+#: coupling whose sigma_min^2 underflows to 0 (exit 0, sigma_min 1e-200)
 EXTRA_INVOCATIONS = {
     "hn-odd": ["hn", "--set", "n_sites=41", "--set", "r_count=5"],
     "hn-negative-r": [
@@ -58,6 +61,9 @@ EXTRA_INVOCATIONS = {
         "cdt-duo", "--set", "a_count=3", "--set", "b_count=3", "--set", "truncation1=2",
         "--set", "truncation2=2", "--set", "n_periods=2", "--set", "rcond=1e-6",
     ],
+    "cdt-duo-zero-frequency": ["cdt-duo", "--set", "omega1=0"],
+    "cdt-mono-unstable-dt": ["cdt-mono", "--set", "omega=0.001", "--set", "amp_count=3"],
+    "cdt-mono-tiny-coupling": ["cdt-mono", "--set", "j_coupling=1e-200", "--set", "amp_count=3"],
 }
 
 
