@@ -40,12 +40,10 @@ from .landscape import (
 )
 from .linalg import (
     DEFAULT_RCOND,
-    EigResult,
     Operator,
     PseudoSolveResult,
     SignedPermutation,
     Spectrum,
-    eig_general,
     factorize,
     gauge_eigh,
     normal_operator,

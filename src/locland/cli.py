@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import resource
 import sys
@@ -36,7 +37,7 @@ def _cast_value(key: str, raw, caster):
             return caster(text)
         except ValueError as exc:
             raise ConfigError(f"key {key!r}: cannot parse {raw!r} as {caster.__name__}") from exc
-    if caster is int and isinstance(raw, float) and raw != int(raw):
+    if caster is int and isinstance(raw, float) and not raw.is_integer():
         raise ConfigError(f"key {key!r}: {raw!r} is not an integer")
     return caster(raw)
 
@@ -88,6 +89,8 @@ def resolve_config(experiment: str, args) -> RunConfig:
             params[key] = _cast_value(key, raw, type(schema[key].default))
     for key, entry in schema.items():
         value = params[key]
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"key {key!r} must be finite, got {value}")
         if entry.minimum is not None and value < entry.minimum:
             raise ConfigError(f"key {key!r} must be at least {entry.minimum}, got {value}")
         interval = entry.open_interval

@@ -17,24 +17,24 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateInputError, DimensionError, HermiticityError
-from .linalg import EigResult, Operator, Spectrum, eig_general, gauge_eigh
+from .linalg import Operator, Spectrum, gauge_eigh
 
 
-def average_right_density(op: Operator, gauge_eig: EigResult | None = None) -> np.ndarray:
+def average_right_density(op: Operator, gauge_eig: Spectrum | None = None) -> np.ndarray:
     """Mean density of all normalized right eigenstates; sums to 1 over sites.
 
     An operator with an imaginary gauge, H = D T D^-1, has the exact right
-    eigenvectors D phi_k, with phi_k from the eigh of T: pass the
+    eigenvectors D phi_k, with phi_k from the factorization of T: pass the
     landscape's gauge_eig to reuse it, or it is computed here.  D is
     rescaled by its maximum first; each column is normalized, so the
     density is unchanged and no entry can overflow.  Any other operator
-    goes through eig_general.
+    goes through np.linalg.eig.
     """
     if op.log_gauge is None:
-        vectors = eig_general(op).vectors
+        vectors = np.linalg.eig(op.entries)[1]
     else:
         eig = gauge_eig if gauge_eig is not None else gauge_eigh(op)
-        vectors = np.exp(op.log_gauge - op.log_gauge.max())[:, None] * eig.vectors
+        vectors = np.exp(op.log_gauge - op.log_gauge.max())[:, None] * eig.right
     weights = np.abs(vectors) ** 2
     weights /= weights.sum(axis=0)
     return weights.mean(axis=1)
@@ -76,8 +76,8 @@ def fold_quasienergy(energy, omega: float):
     Half-integer multiples of omega resolve downward so the result stays in
     the half-open interval.
     """
-    if omega <= 0.0:
-        raise ValueError("omega must be positive")
+    if not omega > 0.0:  # NaN fails too
+        raise ValueError(f"omega must be positive, got {omega}")
     e = np.asarray(energy, dtype=float)
     folded = e - omega * np.floor(e / omega + 0.5)
     # guard the upper edge against roundoff in the division
@@ -94,8 +94,8 @@ def floquet_dos(energies: np.ndarray, omega: float, bin_width: float = 0.01):
     Returns (bin centers, density) on uniform bins covering [-1/2, 1/2);
     the density integrates to one.
     """
-    if omega <= 0.0:
-        raise ValueError("omega must be positive")
+    if not omega > 0.0:  # NaN fails too
+        raise ValueError(f"omega must be positive, got {omega}")
     if not 0.0 < bin_width < 1.0:
         raise ValueError("bin_width must lie in (0, 1)")
     e = np.asarray(energies, dtype=float)
@@ -201,8 +201,8 @@ def midgap_report(spectrum: Spectrum | None, energy_window: float | None = None)
     energies = spectrum.energies
     if energy_window is None:
         energy_window = estimate_midgap_window(energies)
-    if energy_window < 0.0:
-        raise ValueError("energy_window must be positive")
+    if not energy_window >= 0.0:  # NaN fails too
+        raise ValueError(f"energy_window must be nonnegative, got {energy_window}")
     modes = []
     for k in np.flatnonzero(np.abs(energies) < energy_window):
         weight = np.abs(spectrum.right[:, k]) ** 2

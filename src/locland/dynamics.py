@@ -84,7 +84,7 @@ def _drive_arrays(amplitudes, frequencies):
     freqs = np.asarray(frequencies, dtype=float)
     if freqs.ndim != 1 or not freqs.size or amps.ndim not in (1, 2) or amps.shape[-1] != freqs.size:
         raise ValueError("amplitudes and frequencies disagree on tone count")
-    if np.any(freqs <= 0.0):
+    if not np.all(freqs > 0.0):  # NaN fails too
         raise ValueError("drive frequencies must be positive")
     return amps, freqs
 
@@ -99,8 +99,8 @@ def _batch(amplitudes, frequencies, psi0, dt):
     amps, freqs = _drive_arrays(amplitudes, frequencies)
     period = 2.0 * math.pi / freqs.max()
     dt = period / STEPS_PER_PERIOD if dt is None else dt
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
+    if not dt > 0.0:  # NaN fails too
+        raise ValueError(f"dt must be positive, got {dt}")
     limit = period / MIN_STEPS_PER_PERIOD
     if dt > limit * (1.0 + 1e-12):
         raise ValueError(
@@ -118,8 +118,8 @@ def _batch(amplitudes, frequencies, psi0, dt):
 
 def _step_plan(t_end: float, dt: float):
     """Number of full dt steps plus a final partial step reaching t_end."""
-    if t_end <= 0.0:
-        raise ValueError("t_end must be positive")
+    if not t_end > 0.0:  # NaN fails too
+        raise ValueError(f"t_end must be positive, got {t_end}")
     n_full = int(math.floor(t_end / dt + 1e-9))
     last = t_end - n_full * dt
     if last < 1e-12 * dt:

@@ -62,9 +62,9 @@ class Field:
 
     Text given for the key is parsed as type(default).  minimum is an
     inclusive floor and open_interval an exclusive (low, high) range; a key
-    may have either, both or neither.  resolve_config checks both before
-    the output directory is made or any work starts, so a value the run
-    would reject later fails at once.
+    may have either, both or neither.  resolve_config checks both, and
+    rejects every non-finite float, before the output directory is made or
+    any work starts, so a value the run would reject later fails at once.
     """
 
     default: object

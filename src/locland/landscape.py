@@ -17,7 +17,6 @@ import numpy as np
 from .errors import AccuracyError, DegenerateInputError, DimensionError
 from .linalg import (
     DEFAULT_RCOND,
-    EigResult,
     Operator,
     Spectrum,
     factorize,
@@ -41,9 +40,9 @@ class LandscapeResult:
     the projector on the directions the cutoff discarded (zeros if none);
     soft_com is the peak_profile-weighted mean index of the operator.
     spectrum is the factorization of H on the generic route; a gauge-route
-    solve has spectrum None and carries the eigendecomposition of the gauge
-    partner T in gauge_eig.  Construction validates v_max = max amplitude
-    and norm_bound_chain.
+    solve has spectrum None and carries the factorization of the gauge
+    partner T, never of H, in gauge_eig.  Construction validates v_max =
+    max amplitude and norm_bound_chain.
     """
 
     amplitude: np.ndarray
@@ -55,7 +54,7 @@ class LandscapeResult:
     discarded_rank: int
     spectrum: Spectrum | None = None
     near_null: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    gauge_eig: EigResult | None = None
+    gauge_eig: Spectrum | None = None
 
     def __post_init__(self):
         if self.amplitude.shape != self.v_complex.shape:
@@ -159,8 +158,8 @@ def solve_landscape(op: Operator, rcond: float = DEFAULT_RCOND) -> LandscapeResu
     )
 
 
-def _solve_gauged(op: Operator, eig: EigResult) -> tuple:
-    """(v, sigma_min) of H = D T D^-1 from eig, the eigh of the symmetric T.
+def _solve_gauged(op: Operator, eig: Spectrum) -> tuple:
+    """(v, sigma_min) of H = D T D^-1 from eig, the factorization of the symmetric T.
 
     With T = Phi Lambda Phi^T, H^-1 = D T^-1 D^-1 is formed explicitly and
     A = H^-1 H^-T = (H^dag H)^-1, so v = A 1 is the row sums of A and
@@ -173,9 +172,8 @@ def _solve_gauged(op: Operator, eig: EigResult) -> tuple:
     singular, the solve raises AccuracyError rather than return inf or
     noise.
     """
-    lam = np.abs(eig.values)
-    lam_min = float(lam.min())  # 1 / ||T^-1||
-    if lam_min <= op.dim * np.finfo(float).eps * lam.max():
+    lam_min = float(eig.sigma.min())  # 1 / ||T^-1||
+    if lam_min <= op.dim * np.finfo(float).eps * eig.sigma.max():
         raise AccuracyError(
             "the gauge partner T is numerically singular; solve Operator(op.entries) instead"
         )
@@ -186,7 +184,7 @@ def _solve_gauged(op: Operator, eig: EigResult) -> tuple:
             f"gauge span {span:.1f} with min |eig T| = {lam_min:.3g} takes the landscape "
             "of this operator past the float64 range"
         )
-    t_inv = (eig.vectors / eig.values) @ eig.vectors.T
+    t_inv = (eig.right / eig.energies) @ eig.right.T
     h_inv = t_inv * np.exp(g[:, None] - g[None, :])
     a = h_inv @ h_inv.T
     return a.sum(axis=1), 1.0 / math.sqrt(float(np.linalg.eigvalsh(a)[-1]))

@@ -6,12 +6,11 @@ real model goes through real LAPACK.  Everything downstream works with
 small dense matrices (d <~ 10^4), so the kernel stays deliberately simple:
 the one factorization of H that every landscape observable is read from
 (through half-size blocks when H carries a parity and a chiral pairing),
-the eigendecomposition of the symmetric gauge partner of an operator that
-carries an imaginary gauge, right eigenpairs of a general matrix, the
-normal operator H^dag H, a pseudoinverse solve with an explicit spectral
-cutoff (the independent oracle route), and the weighted mean site shared
-by the center of mass indicators.  All functions are pure; results never share mutable state
-with the inputs.
+the same factorization of the symmetric gauge partner of an operator that
+carries an imaginary gauge, the normal operator H^dag H, a pseudoinverse
+solve with an explicit spectral cutoff (the independent oracle route), and
+the weighted mean site shared by the center of mass indicators.  All
+functions are pure; results never share mutable state with the inputs.
 """
 
 from __future__ import annotations
@@ -99,7 +98,7 @@ class Operator:
     log_gauge, when set, is the log of the diagonal of a gauge D for which
     T = D^-1 H D is real symmetric, so H = D T D^-1 (Hatano-Nelson chains
     carry one).  solve_landscape and average_right_density then read H off
-    one eigh of T (gauge_eigh) instead of the SVD and eig_general of H.
+    one eigh of T (gauge_eigh) instead of the SVD and eig of H.
     Only a real H can carry a gauge; Operator(op.entries) drops it.
 
     parity_pairing, when given, is a pair (P, S) of SignedPermutation maps
@@ -139,14 +138,6 @@ class Operator:
     @property
     def dim(self) -> int:
         return self.entries.shape[0]
-
-
-@dataclass(frozen=True, eq=False)
-class EigResult:
-    """Eigendecomposition; column k of ``vectors`` pairs with ``values[k]``."""
-
-    values: np.ndarray
-    vectors: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -226,15 +217,16 @@ def _paired_eigh(m: np.ndarray, parity: SignedPermutation, pairing: SignedPermut
     return energies[order], np.concatenate([half, pairing(half)], axis=1)[:, order]
 
 
-def gauge_eigh(op: Operator) -> EigResult:
-    """Eigenpairs of the real symmetric gauge partner T = D^-1 H D of H.
+def gauge_eigh(op: Operator) -> Spectrum:
+    """The factorization of the real symmetric gauge partner T = D^-1 H D of H.
 
     D = diag(exp(log_gauge)).  T_ij = H_ij exp(g_j - g_i) is formed on the
     nonzero entries of H only, so no exponential of the whole gauge span is
     taken, and symmetrized; a gauge that leaves T asymmetric beyond
-    HERMITICITY_RTOL raises HermiticityError.  Values ascend, the vectors
-    phi_k are real and orthonormal, and the right eigenvectors of H are
-    D phi_k with the same eigenvalues.
+    HERMITICITY_RTOL raises HermiticityError.  The symmetrized T is exactly
+    symmetric, so factorize takes its eigh: energies ascend, the vectors
+    phi_k in right are real and orthonormal, and the right eigenvectors of
+    H are D phi_k with the same eigenvalues.
     """
     g = op.log_gauge
     if g is None:
@@ -244,29 +236,7 @@ def gauge_eigh(op: Operator) -> EigResult:
     t[rows, cols] = op.entries[rows, cols] * np.exp(g[cols] - g[rows])
     if hermiticity_defect(t) > HERMITICITY_RTOL:
         raise HermiticityError("log_gauge does not symmetrize the operator")
-    values, vectors = np.linalg.eigh(0.5 * (t + t.T))
-    return EigResult(values=values, vectors=vectors)
-
-
-def eig_general(op: Operator) -> EigResult:
-    """Right eigenpairs of a general square matrix.
-
-    Values and vectors are complex128 for real input too.  Pairs are sorted
-    by (Re, Im) of the eigenvalue and each eigenvector is 2-norm
-    normalized.  Near-defective inputs are not rejected (the residual
-    contract ||H psi - E psi|| <= 1e-8 ||H||_F still holds on a best-effort
-    basis).  This is the route of every operator without a gauge; a
-    gauge-carrying one has exact eigenvectors from gauge_eigh, which
-    average_right_density uses instead.
-    """
-    values, vectors = np.linalg.eig(op.entries)
-    values, vectors = values.astype(complex, copy=False), vectors.astype(complex, copy=False)
-    order = np.lexsort((values.imag, values.real))
-    values = values[order]
-    vectors = vectors[:, order]
-    norms = np.linalg.norm(vectors, axis=0)
-    norms[norms == 0.0] = 1.0
-    return EigResult(values=values, vectors=vectors / norms)
+    return factorize(Operator(0.5 * (t + t.T)))
 
 
 def pseudo_solve(op: Operator, b: np.ndarray, rcond: float = DEFAULT_RCOND) -> PseudoSolveResult:

@@ -85,6 +85,13 @@ class TestConfigResolution:
 
         with pytest.raises(ConfigError):
             resolve_config("hn", Args())
+        # a JSON config can carry Infinity or NaN for an integer key
+        for value in ("Infinity", "NaN"):
+            Args.set = None
+            Args.config = str(tmp_path / "config.json")
+            (tmp_path / "config.json").write_text(f'{{"n_sites": {value}}}')
+            with pytest.raises(ConfigError, match="not an integer"):
+                resolve_config("hn", Args())
 
     def test_swept_axis_needs_two_points(self, tmp_path):
         class Args:
@@ -305,7 +312,9 @@ class TestCliExitCodes:
          ("bbh", "window=-1"), ("cdt-mono", "omega=0"), ("cdt-duo", "omega1=0"),
          ("cdt-duo", "omega2_ratio=-1"), ("aah", "omega_min=0"), ("aah", "omega_max=-2"),
          ("hn", "n_sites=1"), ("aah", "n_sites=1"), ("ssh", "n_cells=1"), ("bbh", "n_x=1"),
-         ("bbh", "n_y=0"), ("bounds", "dimension=0")],
+         ("bbh", "n_y=0"), ("bounds", "dimension=0"), ("ssh", "window=nan"),
+         ("cdt-mono", "amp_max=inf"), ("hn", "t_left=nan"), ("hn", "r_max=inf"),
+         ("aah", "theta=nan"), ("bbh", "gamma=inf"), ("ssh", "t_weak=nan")],
     )
     def test_bounded_keys_fail_before_any_work(self, experiment, arg, tmp_path, monkeypatch, capsys):
         # the solvers reject these too, but only after a sweep or a solve
@@ -699,6 +708,13 @@ class TestOneFactorization:
         point = _hn_point(1.3, {**self.default_params("hn"), "n_sites": 200})
         assert calls == [("eigh", np.float64), ("eigvalsh", np.float64)]
         assert point["discarded_rank"] == 0
+
+    def test_hn_odd_point_svd_and_eig(self, calls):
+        # an odd chain carries no gauge: the SVD of H for the landscape, then
+        # one general eigensolve for the right-eigenstate density
+        point = _hn_point(1.3, {**self.default_params("hn"), "n_sites": 41})
+        assert calls == [("svd", np.float64), ("eig", np.float64)]
+        assert point["discarded_rank"] == 1
 
     def test_aah_point_one_eigh(self, calls):
         _aah_point(2.5, {**self.default_params("aah"), "n_sites": 8, "truncation": 1})

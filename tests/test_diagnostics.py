@@ -61,8 +61,8 @@ class TestAverageRightDensity:
     def test_gauge_eigenvectors_are_right_eigenvectors(self):
         chain = hatano_nelson(12, 1.0, 0.6)
         eig = gauge_eigh(chain)
-        psi = np.exp(chain.log_gauge)[:, None] * eig.vectors
-        residual = chain.entries @ psi - psi * eig.values
+        psi = np.exp(chain.log_gauge)[:, None] * eig.right
+        residual = chain.entries @ psi - psi * eig.energies
         assert np.abs(residual).max() <= 1e-13 * np.abs(psi).max()
         assert np.array_equal(average_right_density(chain), average_right_density(chain, eig))
 
@@ -163,6 +163,12 @@ class TestFoldQuasienergy:
         assert fold_quasienergy(0.5, 1.0) == -0.5
         assert fold_quasienergy(-0.5, 1.0) == -0.5
 
+    def test_validation(self):
+        with pytest.raises(ValueError, match="omega"):
+            fold_quasienergy(0.3, 0.0)
+        with pytest.raises(ValueError, match="omega"):
+            fold_quasienergy(np.array([0.3]), math.nan)
+
     def test_repeated_shift_oracle(self):
         value = -2.3
         shifted = value
@@ -221,6 +227,8 @@ class TestFloquetDos:
             floquet_dos(np.array([]), 1.0)
         with pytest.raises(ValueError):
             floquet_dos(np.array([0.0]), 1.0, bin_width=1.5)
+        with pytest.raises(ValueError, match="omega"):
+            floquet_dos(np.array([0.0]), math.nan, 0.1)
 
 
 class TestDetectPeaks:
@@ -322,6 +330,8 @@ class TestMidgapReport:
         modes = midgap_report(res.spectrum, energy_window=0.1)
         assert len(modes) == 1
         assert modes[0].energy == pytest.approx(0.05)
+        with pytest.raises(ValueError, match="energy_window"):
+            midgap_report(res.spectrum, energy_window=math.nan)
 
 
 class TestPeakSite:

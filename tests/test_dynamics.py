@@ -43,6 +43,8 @@ class TestDriveSignal:
     def test_validation(self):
         with pytest.raises(ValueError):
             DriveSignal(1.0, (1.0,), (0.0,))
+        with pytest.raises(ValueError, match="positive"):
+            DriveSignal(1.0, (1.0,), (math.nan,))
         with pytest.raises(ValueError):
             DriveSignal(1.0, (1.0, 2.0), (1.0,))
         with pytest.raises(ValueError):
@@ -82,6 +84,10 @@ class TestPropagate:
         drive = DriveSignal(1.0, (1.0,), (10.0,))
         with pytest.raises(ValueError):
             propagate(drive, LEFT, 1.0, dt=2.0 * math.pi / 10.0 / 100.0)
+        with pytest.raises(ValueError, match="dt must be positive"):
+            propagate(drive, LEFT, 1.0, dt=math.nan)
+        with pytest.raises(ValueError, match="t_end must be positive"):
+            propagate(drive, LEFT, math.nan)
 
     def test_state_validation(self):
         drive = DriveSignal(1.0, (1.0,), (10.0,))

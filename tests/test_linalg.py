@@ -13,7 +13,6 @@ from locland import (
     SignedPermutation,
     build_sambe_duo,
     build_sambe_mono,
-    eig_general,
     factorize,
     midgap_report,
     normal_operator,
@@ -23,7 +22,6 @@ from locland import (
     two_level_drive_mono,
     two_level_static,
 )
-from locland.models import hatano_nelson
 
 from conftest import random_complex, random_hermitian_pd
 from oracles import (
@@ -299,40 +297,6 @@ class TestRealDtype:
             v_ref = vh_ref.conj().T @ ((vh_ref @ np.ones(d)) / s_ref**2)
             assert np.abs(res.v_complex - v_ref).max() <= 1e-9 * np.abs(v_ref).max()
 
-        # conjugate pairs may come out in either order, so each eigenvalue
-        # is matched to its nearest partner both ways
-        values = eig_general(op).values
-        assert values.dtype == np.complex128
-        ref = np.linalg.eig(cast)[0]
-        gap = np.abs(values[:, None] - ref[None, :])
-        assert max(gap.min(axis=0).max(), gap.min(axis=1).max()) <= 1e-10 * np.linalg.norm(m, 2)
-
-
-class TestEigGeneral:
-    def test_jordan_block_flagged_defective(self):
-        res = eig_general(Operator([[0, 1], [0, 0]]))
-        assert np.allclose(res.values, [0.0, 0.0])
-
-    def test_hatano_nelson_similarity_spectrum(self):
-        # open-boundary asymmetric chain shares its spectrum with the
-        # symmetrized chain of hopping sqrt(t_L t_R) = 0.5
-        res = eig_general(hatano_nelson(4, 1.0, 0.25))
-        expected = np.sort(2.0 * 0.5 * np.cos(np.arange(1, 5) * math.pi / 5.0))
-        assert np.abs(res.values.imag).max() < 1e-10
-        assert np.abs(np.sort(res.values.real) - expected).max() < 1e-10
-
-    def test_diagonal_imaginary(self):
-        res = eig_general(Operator(np.diag([1j, -1j])))
-        assert np.allclose(res.values, [-1j, 1j])
-
-    def test_residual_contract(self, rng):
-        m = random_complex(rng, 9)
-        res = eig_general(Operator(m))
-        scale = np.linalg.norm(m)
-        for k in range(9):
-            resid = np.linalg.norm(m @ res.vectors[:, k] - res.values[k] * res.vectors[:, k])
-            assert resid <= 1e-8 * scale
-
 
 class TestSmallestSingularValue:
     def test_identity(self):
@@ -433,10 +397,3 @@ class TestKernelInvariants:
         x = pseudo_solve(Operator(m), b).x
         direct = np.linalg.solve(m, b.astype(complex))
         assert np.abs(x - direct).max() < 1e-9 * np.abs(direct).max()
-
-    def test_eig_general_residuals_frobenius(self, rng):
-        m = random_complex(rng, 14)
-        res = eig_general(Operator(m))
-        fro = np.linalg.norm(m)
-        resid = np.linalg.norm(m @ res.vectors - res.vectors * res.values, axis=0)
-        assert resid.max() <= 1e-8 * fro

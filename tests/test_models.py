@@ -50,6 +50,14 @@ class TestHatanoNelson:
             assert np.abs(np.sort(eigs.real) - expected).max() < 1e-8
             assert np.abs(eigs.imag).max() < 1e-8
 
+    def test_hatano_nelson_similarity_spectrum(self):
+        # open-boundary asymmetric chain shares its spectrum with the
+        # symmetrized chain of hopping sqrt(t_L t_R) = 0.5
+        values = np.linalg.eigvals(hatano_nelson(4, 1.0, 0.25).entries)
+        expected = np.sort(2.0 * 0.5 * np.cos(np.arange(1, 5) * math.pi / 5.0))
+        assert np.abs(values.imag).max() < 1e-10
+        assert np.abs(np.sort(values.real) - expected).max() < 1e-10
+
     @pytest.mark.parametrize("t_left, t_right", [(1.0, 0.9), (1.0, 0.25), (-0.7, -1.2)])
     def test_gauge_partner_is_the_symmetric_chain(self, t_left, t_right):
         # D^-1 H D with D = diag(exp(log_gauge)) is the chain with hopping
@@ -62,7 +70,7 @@ class TestHatanoNelson:
         assert np.abs(partner[0, 1] - hopping) < 1e-14
         assert np.array_equal(op.log_gauge[::-1], -op.log_gauge)
         expected = open_chain_spectrum(12, math.sqrt(t_left * t_right))
-        assert np.abs(gauge_eigh(op).values - expected).max() < 1e-13
+        assert np.abs(gauge_eigh(op).energies - expected).max() < 1e-13
 
     @pytest.mark.parametrize("n_sites, t_right", [(13, 0.9), (12, -0.9), (12, 0.0)])
     def test_no_gauge_for_odd_or_sign_changing_chains(self, n_sites, t_right):
