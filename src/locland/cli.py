@@ -5,7 +5,8 @@ manifest of a previous run), with repeatable --set key=value overrides that
 win over the file.  Every run writes report.csv, report.json and a
 manifest.json carrying the fully resolved configuration, library versions,
 host setup (cores, BLAS thread variables), wall time and peak RSS;
-re-running from the manifest reproduces the CSV outputs byte for byte.
+re-running from the manifest, which also records the seed, reproduces every
+output but the manifest byte for byte.
 
 Exit codes: 0 success, 2 configuration error (unknown key, unparsable or
 out-of-range value), 3 numerical-contract violation, 4 I/O error.
@@ -56,8 +57,11 @@ def _parse_flat_config(path: Path) -> dict:
     return out
 
 
-def load_config_file(path: Path) -> dict:
-    """Flat key=value file or a JSON dict (optionally a run manifest)."""
+def load_config_file(path: Path) -> tuple[dict, int]:
+    """(values, seed) of a flat key=value file or a JSON dict (optionally a run manifest).
+
+    The seed is the one a manifest records, and 0 for any other file.
+    """
     if not path.exists():
         raise ConfigError(f"config file {path} does not exist")
     text = path.read_text().strip()
@@ -65,14 +69,16 @@ def load_config_file(path: Path) -> dict:
         payload = json.loads(text)
         if not isinstance(payload, dict):
             raise ConfigError(f"{path}: JSON config must be an object")
-        return payload.get("params", payload)
-    return _parse_flat_config(path)
+        if "params" in payload:
+            return payload["params"], _cast_value("seed", payload.get("seed", 0), int)
+        return payload, 0
+    return _parse_flat_config(path), 0
 
 
 def resolve_config(experiment: str, args) -> RunConfig:
     schema = SCHEMAS[experiment]
     params = {key: entry.default for key, entry in schema.items()}
-    file_values = load_config_file(Path(args.config)) if args.config else {}
+    file_values, file_seed = load_config_file(Path(args.config)) if args.config else ({}, 0)
     overrides = {}
     for item in args.set or []:
         if "=" not in item:
@@ -103,7 +109,8 @@ def resolve_config(experiment: str, args) -> RunConfig:
         params=params,
         out_dir=Path(args.out),
         workers=args.workers,
-        seed=args.seed,
+        # an explicit --seed wins over the one a manifest recorded
+        seed=file_seed if args.seed is None else args.seed,
     )
 
 
@@ -127,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
             metavar="KEY=VALUE",
             help="override one config key (repeatable, wins over --config)",
         )
-        p.add_argument("--seed", type=int, default=0, help="seed for random-matrix runs")
+        p.add_argument("--seed", type=int, help="random-matrix seed (default: the manifest's, or 0)")
     return parser
 
 

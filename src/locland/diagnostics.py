@@ -12,6 +12,7 @@ each file format.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,8 +77,8 @@ def fold_quasienergy(energy, omega: float):
     Half-integer multiples of omega resolve downward so the result stays in
     the half-open interval.
     """
-    if not omega > 0.0:  # NaN fails too
-        raise ValueError(f"omega must be positive, got {omega}")
+    if not 0.0 < omega < math.inf:  # NaN fails too
+        raise ValueError(f"omega must be positive and finite, got {omega}")
     e = np.asarray(energy, dtype=float)
     folded = e - omega * np.floor(e / omega + 0.5)
     # guard the upper edge against roundoff in the division
@@ -94,8 +95,8 @@ def floquet_dos(energies: np.ndarray, omega: float, bin_width: float = 0.01):
     Returns (bin centers, density) on uniform bins covering [-1/2, 1/2);
     the density integrates to one.
     """
-    if not omega > 0.0:  # NaN fails too
-        raise ValueError(f"omega must be positive, got {omega}")
+    if not 0.0 < omega < math.inf:  # NaN fails too
+        raise ValueError(f"omega must be positive and finite, got {omega}")
     if not 0.0 < bin_width < 1.0:
         raise ValueError("bin_width must lie in (0, 1)")
     e = np.asarray(energies, dtype=float)

@@ -15,9 +15,10 @@ stepper, _evolve: it advances a (B, 2) batch of states (each row with its
 own amplitudes) through one step plan, builds the maps elementwise for a
 block of _block_steps(B) steps (about _BLOCK_ENTRIES maps, 16 to 1024
 steps; measured best between B = 4 and B = 1000), applies them one step
-at a time and yields the block.  propagate keeps every stride-th row and
-the min_t P_L grid a running minimum, both with the norm drift of every
-block; the monodromy sweep keeps the last state and checks its unitarity.
+at a time and yields the block.  propagate and the min_t P_L grid take
+one DriveSignal and t_end; the first keeps every stride-th row, the second
+a running minimum, both with the norm drift of every block.  The monodromy
+sweep keeps the last state and checks its unitarity.
 """
 
 from __future__ import annotations
@@ -40,20 +41,30 @@ MIN_STEPS_PER_PERIOD = 200
 _BLOCK_ENTRIES = 1 << 14
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DriveSignal:
     """Two-level model parameters: bias s(t) = sum_i amplitudes[i] cos(frequencies[i] t).
 
-    amplitudes holds one value per tone, or one such row per state of a
-    batched propagate().
+    amplitudes holds one value per tone (K,) or one such row per state of a
+    batch (B, K); frequencies (K,) lie in (0, inf).  Both are checked here,
+    once, and stored as read-only float arrays.
     """
 
     j_coupling: float
-    amplitudes: tuple
-    frequencies: tuple
+    amplitudes: np.ndarray
+    frequencies: np.ndarray
 
     def __post_init__(self):
-        _drive_arrays(self.amplitudes, self.frequencies)
+        amps = np.array(self.amplitudes, dtype=float)
+        freqs = np.array(self.frequencies, dtype=float)
+        if amps.ndim not in (1, 2) or amps.shape[-1:] != freqs.shape or not freqs.size:
+            raise ValueError("amplitudes and frequencies disagree on tone count")
+        if not np.all((0.0 < freqs) & (freqs < math.inf)):  # NaN fails too
+            raise ValueError(f"drive frequencies must be positive and finite, got {freqs}")
+        amps.setflags(write=False)
+        freqs.setflags(write=False)
+        object.__setattr__(self, "amplitudes", amps)
+        object.__setattr__(self, "frequencies", freqs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,25 +89,14 @@ def _norm_drift(states: np.ndarray) -> float:
     return drift if math.isfinite(drift) else math.inf
 
 
-def _drive_arrays(amplitudes, frequencies):
-    """Amplitudes (K,) or (B, K) and frequencies (K,) as checked float arrays."""
-    amps = np.asarray(amplitudes, dtype=float)
-    freqs = np.asarray(frequencies, dtype=float)
-    if freqs.ndim != 1 or not freqs.size or amps.ndim not in (1, 2) or amps.shape[-1] != freqs.size:
-        raise ValueError("amplitudes and frequencies disagree on tone count")
-    if not np.all(freqs > 0.0):  # NaN fails too
-        raise ValueError("drive frequencies must be positive")
-    return amps, freqs
-
-
-def _batch(amplitudes, frequencies, psi0, dt):
+def _batch(drive: DriveSignal, psi0, dt):
     """Checked stepper inputs: (amps (B, K), freqs (K,), psi (B, 2), dt).
 
-    One amplitude row or one state is broadcast against a batch of the
-    other.  dt defaults to the shortest drive period over STEPS_PER_PERIOD
+    One amplitude row of drive or one state is broadcast against a batch of
+    the other.  dt defaults to the shortest drive period over STEPS_PER_PERIOD
     and may not exceed that period over MIN_STEPS_PER_PERIOD.
     """
-    amps, freqs = _drive_arrays(amplitudes, frequencies)
+    amps, freqs = drive.amplitudes, drive.frequencies
     period = 2.0 * math.pi / freqs.max()
     dt = period / STEPS_PER_PERIOD if dt is None else dt
     if not dt > 0.0:  # NaN fails too
@@ -118,8 +118,8 @@ def _batch(amplitudes, frequencies, psi0, dt):
 
 def _step_plan(t_end: float, dt: float):
     """Number of full dt steps plus a final partial step reaching t_end."""
-    if not t_end > 0.0:  # NaN fails too
-        raise ValueError(f"t_end must be positive, got {t_end}")
+    if not 0.0 < t_end < math.inf:  # NaN fails too
+        raise ValueError(f"t_end must be positive and finite, got {t_end}")
     n_full = int(math.floor(t_end / dt + 1e-9))
     last = t_end - n_full * dt
     if last < 1e-12 * dt:
@@ -214,7 +214,7 @@ def propagate(
     """
     if stride < 1:
         raise ValueError("stride must be >= 1")
-    amps, freqs, psi, dt = _batch(drive.amplitudes, drive.frequencies, psi0, dt)
+    amps, freqs, psi, dt = _batch(drive, psi0, dt)
     k = 0  # step index of the block's first row
     times, states = [], []
     drift = 0.0
@@ -232,28 +232,19 @@ def propagate(
 
 
 def min_left_population_grid(
-    j_coupling: float,
-    amplitude_pairs: np.ndarray,
-    frequencies,
-    psi0: np.ndarray,
-    n_periods: int,
-    dt: float | None = None,
+    drive: DriveSignal, psi0: np.ndarray, t_end: float, dt: float | None = None
 ):
-    """Batched min_t P_L over a list of amplitude rows (one per grid point), and its drift.
+    """Batched min_t P_L over the amplitude rows of drive (one per grid point), and its drift.
 
-    Runs n_periods periods of the first tone on the same steps as
-    propagate(), keeping a running minimum instead of the trajectories.
-    Returns (min_t P_L per row, the largest | ||psi|| - 1 | over every step
-    of every row); element k of the first equals the per-point result to
-    roundoff.
+    Runs to t_end on the same steps as propagate() with the same arguments,
+    keeping a running minimum instead of the trajectories.  Returns (min_t
+    P_L per row, the largest | ||psi|| - 1 | over every step of every row);
+    element k of the first equals the per-point result to roundoff.
     """
-    amps, freqs, psi, dt = _batch(np.atleast_2d(amplitude_pairs), frequencies, psi0, dt)
-    if n_periods < 1:
-        raise ValueError("n_periods must be >= 1")
+    amps, freqs, psi, dt = _batch(drive, psi0, dt)
     p_min = np.full(len(psi), np.inf)
     drift = 0.0
-    t_end = n_periods * 2.0 * math.pi / freqs[0]
-    for _, block in _evolve(psi, t_end, dt, j_coupling, amps, freqs):
+    for _, block in _evolve(psi, t_end, dt, drive.j_coupling, amps, freqs):
         np.minimum(p_min, (np.abs(block[..., 0]) ** 2).min(axis=0), out=p_min)
         drift = max(drift, _norm_drift(block))
     return p_min, drift
@@ -280,7 +271,8 @@ def monodromy_quasienergies_sweep(
         raise ValueError("the sweep takes one amplitude per point (one tone)")
     # the two basis columns of U evolve as independent rows of the batch
     basis = np.tile(np.eye(2, dtype=complex), (amps.size, 1))
-    rows, freqs, psi, dt = _batch(np.repeat(amps, 2)[:, None], (omega,), basis, dt)
+    drive = DriveSignal(j_coupling, np.repeat(amps, 2)[:, None], (omega,))
+    rows, freqs, psi, dt = _batch(drive, basis, dt)
     period = 2.0 * math.pi / omega
     for _, block in _evolve(psi, period, dt, j_coupling, rows, freqs):
         pass

@@ -162,7 +162,7 @@ SCHEMAS = {
         "model": Field("hermitian_pd"),  # hermitian_pd | hn | diag
         "dimension": Field(30, minimum=1),
         "epsilon": Field(1e-3),
-        "n_sites": Field(120),
+        "n_sites": Field(120, minimum=2),
         "t_left": Field(1.0),
         "r": Field(0.9),
         "rcond": Field(1e-12, open_interval=(0.0, 1.0)),
@@ -342,11 +342,11 @@ def run_cdt_duo(config: RunConfig) -> SweepReport:
     # the drift-gated min_PL grid runs first, so a too coarse dt fails
     # before the Sambe grid
     dt = 2.0 * math.pi / max(omega1, omega2) / p["steps_per_period"]
+    t_end = p["n_periods"] * 2.0 * math.pi / omega1
     amp_pairs = np.array(grid_pairs) * omega1
     psi_left = np.array([1.0, 0.0], dtype=complex)
-    min_pl, grid_drift = min_left_population_grid(
-        p["j_coupling"], amp_pairs, (omega1, omega2), psi_left, p["n_periods"], dt
-    )
+    grid_drive = DriveSignal(p["j_coupling"], amp_pairs, (omega1, omega2))
+    min_pl, grid_drift = min_left_population_grid(grid_drive, psi_left, t_end, dt)
     if not grid_drift <= NORM_DRIFT_LIMIT:
         raise AccuracyError(f"min_PL grid drifts from unit norm by {grid_drift:.2e}; reduce dt")
     table = _grid_map(lambda pair: _cdt_duo_point(pair, p), grid_pairs)
@@ -374,13 +374,10 @@ def run_cdt_duo(config: RunConfig) -> SweepReport:
     starts = {"left": psi_left, "partial": PARTIAL_LEFT_STATE}
     runs = [(tag, state) for tag in marked_idx for state in starts]
     drive = DriveSignal(
-        p["j_coupling"],
-        tuple(tuple(amp_pairs[marked_idx[tag]]) for tag, _ in runs),
-        (omega1, omega2),
+        p["j_coupling"], amp_pairs[[marked_idx[tag] for tag, _ in runs]], (omega1, omega2)
     )
     psi0 = np.array([starts[state] for _, state in runs])
     # only the written rows are stored; the drift gate still sees every step
-    t_end = p["n_periods"] * 2.0 * math.pi / omega1
     traj = propagate(drive, psi0, t_end, dt, stride=p["traj_stride"])
     drift = traj.max_norm_drift
     if not drift <= NORM_DRIFT_LIMIT:

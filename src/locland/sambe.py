@@ -134,8 +134,8 @@ def build_sambe(h0: Operator, drive: dict, omegas, truncations) -> SambeOperator
     truncations = tuple(truncations)
     if not omegas or len(omegas) != len(truncations):
         raise DimensionError(f"{len(omegas)} frequencies for {len(truncations)} truncations")
-    if not all(w > 0.0 for w in omegas):  # NaN fails too
-        raise ValueError("drive frequencies must be positive")
+    if not all(0.0 < w < math.inf for w in omegas):  # NaN fails too
+        raise ValueError("drive frequencies must be positive and finite")
     index_map = SambeIndexMap(base_dim=h0.dim, truncations=truncations)
     harmonics = index_map.harmonics
     n, s = h0.dim, index_map.sector_count

@@ -115,11 +115,24 @@ class TestConfigResolution:
             load_config_file(tmp_path / "nope.cfg")
 
     def test_manifest_roundtrip_as_config(self, tmp_path):
-        manifest = {"experiment": "hn", "params": {"n_sites": 24, "r_count": 3}}
+        manifest = {"experiment": "hn", "params": {"n_sites": 24, "r_count": 3}, "seed": 7}
         path = tmp_path / "manifest.json"
         path.write_text(json.dumps(manifest))
-        values = load_config_file(path)
-        assert values == {"n_sites": 24, "r_count": 3}
+        assert load_config_file(path) == ({"n_sites": 24, "r_count": 3}, 7)
+
+    @pytest.mark.parametrize("flag, seed", [(None, 7), (3, 3), (0, 0)])
+    def test_explicit_seed_wins_over_manifest(self, flag, seed, tmp_path):
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({"experiment": "bounds", "params": {}, "seed": 7}))
+
+        class Args:
+            config = str(path)
+            out = str(tmp_path)
+            workers = 1
+            set = None
+            seed = flag
+
+        assert resolve_config("bounds", Args()).seed == seed
 
     def test_every_experiment_has_schema_defaults(self, tmp_path):
         # text given for a key is parsed as the type of its default, so each
@@ -314,7 +327,8 @@ class TestCliExitCodes:
          ("hn", "n_sites=1"), ("aah", "n_sites=1"), ("ssh", "n_cells=1"), ("bbh", "n_x=1"),
          ("bbh", "n_y=0"), ("bounds", "dimension=0"), ("ssh", "window=nan"),
          ("cdt-mono", "amp_max=inf"), ("hn", "t_left=nan"), ("hn", "r_max=inf"),
-         ("aah", "theta=nan"), ("bbh", "gamma=inf"), ("ssh", "t_weak=nan")],
+         ("aah", "theta=nan"), ("bbh", "gamma=inf"), ("ssh", "t_weak=nan"),
+         ("bounds", "n_sites=1")],
     )
     def test_bounded_keys_fail_before_any_work(self, experiment, arg, tmp_path, monkeypatch, capsys):
         # the solvers reject these too, but only after a sweep or a solve
@@ -406,13 +420,30 @@ class TestEndToEnd:
         r_one = report["axes"]["r"].index(1.0)
         assert abs(report["columns"]["soft_com"][r_one] - 15.5) <= 1.0
 
-    def test_manifest_rerun_bit_exact(self, tmp_path):
+    @pytest.mark.parametrize(
+        "experiment, args",
+        [
+            ("hn", ["--set", "n_sites=24", "--set", "r_count=4"]),
+            ("cdt-mono", ["--set", "amp_count=5", "--set", "amp_max=3", "--set", "truncation=2"]),
+            ("cdt-duo", ["--set", "a_count=2", "--set", "b_count=2", "--set", "truncation1=1",
+                         "--set", "truncation2=1", "--set", "n_periods=1"]),
+            ("aah", ["--set", "n_sites=8", "--set", "omega_count=3", "--set", "truncation=1"]),
+            ("ssh", []),
+            ("bbh", ["--set", "n_x=4", "--set", "n_y=4"]),
+            # the manifest records the seed, which the rerun must draw again
+            ("bounds", ["--seed", "7"]),
+        ],
+        ids=["hn", "cdt-mono", "cdt-duo", "aah", "ssh", "bbh", "bounds"],
+    )
+    def test_manifest_rerun_bit_exact(self, experiment, args, tmp_path):
         first = tmp_path / "first"
         second = tmp_path / "second"
-        assert run_cli(["hn", "--out", str(first), "--set", "n_sites=24", "--set", "r_count=4"]) == 0
-        assert run_cli(["hn", "--out", str(second), "--config", str(first / "manifest.json")]) == 0
-        for name in ("report.csv", "profile_r0.70.csv", "profile_r1.30.csv"):
-            assert (first / name).read_bytes() == (second / name).read_bytes()
+        assert run_cli([experiment, "--out", str(first), *args]) == 0
+        assert run_cli([experiment, "--out", str(second), "--config", str(first / "manifest.json")]) == 0
+        names = sorted(p.name for p in first.iterdir() if p.name != "manifest.json")
+        assert names == sorted(p.name for p in second.iterdir() if p.name != "manifest.json")
+        for name in names:
+            assert (first / name).read_bytes() == (second / name).read_bytes(), name
 
     def test_rerun_into_same_dir_lists_outputs(self, tmp_path):
         args = ["hn", "--out", str(tmp_path), "--set", "n_sites=24", "--set", "r_count=3"]
@@ -793,3 +824,21 @@ class TestOneRk4Pass:
         n_steps = math.ceil(p["n_periods"] * 2.0 * math.pi / p["omega1"] / dt)
         passes = [(rows, sum(n for _, n in run)) for rows, run in groupby(blocks, key=itemgetter(0))]
         assert passes == [(6, n_steps), (4, n_steps)]
+
+    def test_cdt_duo_grid_and_trajectories_share_time_span(self, monkeypatch, tmp_path):
+        spans = {}  # (t_end, dt) each RK4 entry point was called with
+
+        def recorded(fn):
+            def call(drive, psi0, t_end, dt, **kwargs):
+                spans[fn.__name__] = (t_end, dt)
+                return fn(drive, psi0, t_end, dt, **kwargs)
+
+            return call
+
+        for fn in (min_left_population_grid, propagate):
+            monkeypatch.setattr(experiments, fn.__name__, recorded(fn))
+        config = TestOneFactorization.default_config("cdt-duo", tmp_path)
+        config.params.update(a_count=2, b_count=2, truncation1=1, truncation2=1, n_periods=2)
+        run_cdt_duo(config)
+        assert spans.keys() == {"min_left_population_grid", "propagate"}
+        assert spans["min_left_population_grid"] == spans["propagate"]

@@ -168,6 +168,8 @@ class TestFoldQuasienergy:
             fold_quasienergy(0.3, 0.0)
         with pytest.raises(ValueError, match="omega"):
             fold_quasienergy(np.array([0.3]), math.nan)
+        with pytest.raises(ValueError, match="omega"):
+            fold_quasienergy(np.array([0.3]), math.inf)
 
     def test_repeated_shift_oracle(self):
         value = -2.3
@@ -229,6 +231,8 @@ class TestFloquetDos:
             floquet_dos(np.array([0.0]), 1.0, bin_width=1.5)
         with pytest.raises(ValueError, match="omega"):
             floquet_dos(np.array([0.0]), math.nan, 0.1)
+        with pytest.raises(ValueError, match="omega"):
+            floquet_dos(np.array([0.0]), math.inf, 0.1)
 
 
 class TestDetectPeaks:

@@ -27,11 +27,9 @@ PARTIAL = np.array([math.sqrt(3.0) / 2.0, 0.5], dtype=complex)
 
 
 def min_left_population(drive, psi0, n_periods, dt=None):
-    """One-row call of the batched grid."""
-    grid, _ = min_left_population_grid(
-        drive.j_coupling, [drive.amplitudes], drive.frequencies, psi0, n_periods, dt
-    )
-    return grid[0]
+    """One-row call of the batched grid over n_periods periods of the first tone."""
+    t_end = n_periods * 2.0 * math.pi / drive.frequencies[0]
+    return min_left_population_grid(drive, psi0, t_end, dt)[0][0]
 
 
 def monodromy_quasienergies(amplitude, omega, dt=None):
@@ -45,10 +43,22 @@ class TestDriveSignal:
             DriveSignal(1.0, (1.0,), (0.0,))
         with pytest.raises(ValueError, match="positive"):
             DriveSignal(1.0, (1.0,), (math.nan,))
+        with pytest.raises(ValueError, match="positive"):
+            DriveSignal(1.0, (1.0,), (math.inf,))
         with pytest.raises(ValueError):
             DriveSignal(1.0, (1.0, 2.0), (1.0,))
         with pytest.raises(ValueError):
             DriveSignal(1.0, ((1.0, 2.0), (3.0, 4.0)), (1.0,))
+
+    def test_arrays_are_read_only(self):
+        amps = np.array([[1.0, 2.0], [3.0, 4.0]])
+        drive = DriveSignal(1.0, amps, (1.0, 2.0))
+        with pytest.raises(ValueError):
+            drive.amplitudes[0, 0] = 5.0
+        with pytest.raises(ValueError):
+            drive.frequencies[0] = 5.0
+        amps[0, 0] = 5.0  # the drive holds a copy, and the caller's array stays writable
+        assert drive.amplitudes[0, 0] == 1.0
 
 
 class TestPropagate:
@@ -88,6 +98,8 @@ class TestPropagate:
             propagate(drive, LEFT, 1.0, dt=math.nan)
         with pytest.raises(ValueError, match="t_end must be positive"):
             propagate(drive, LEFT, math.nan)
+        with pytest.raises(ValueError, match="t_end must be positive"):
+            propagate(drive, LEFT, math.inf)
 
     def test_state_validation(self):
         drive = DriveSignal(1.0, (1.0,), (10.0,))
@@ -235,22 +247,23 @@ class TestMinLeftPopulationGrid:
     def test_matches_pointwise(self):
         freqs = (10.0, 10.0 * math.sqrt(2.0))
         pairs = np.array([[24.0, 8.0], [0.0, 50.0], [13.0, 77.0], [55.0, 0.0]])
-        grid, _ = min_left_population_grid(1.0, pairs, freqs, LEFT, 7)
+        t_end = 7 * 2.0 * math.pi / freqs[0]
+        grid, _ = min_left_population_grid(DriveSignal(1.0, pairs, freqs), LEFT, t_end)
         for k, (a, b) in enumerate(pairs):
-            traj = propagate(DriveSignal(1.0, (a, b), freqs), LEFT, 7 * 2.0 * math.pi / freqs[0])
+            traj = propagate(DriveSignal(1.0, (a, b), freqs), LEFT, t_end)
             assert grid[k] == pytest.approx(traj.p_left.min(), abs=1e-12)
 
     def test_drift_covers_every_row(self):
         freqs = (10.0, 10.0 * math.sqrt(2.0))
         pairs = np.array([[24.0, 8.0], [0.0, 50.0], [130.0, 77.0]])
-        _, drift = min_left_population_grid(1.0, pairs, freqs, LEFT, 3)
         t_end = 3 * 2.0 * math.pi / freqs[0]
+        _, drift = min_left_population_grid(DriveSignal(1.0, pairs, freqs), LEFT, t_end)
         rows = [propagate(DriveSignal(1.0, tuple(p), freqs), LEFT, t_end) for p in pairs]
         assert drift == pytest.approx(max(row.max_norm_drift for row in rows), rel=1e-6)
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
-            min_left_population_grid(1.0, np.zeros((3, 1)), (1.0, 2.0), LEFT, 1)
+            min_left_population_grid(DriveSignal(1.0, np.zeros((3, 1)), (1.0, 2.0)), LEFT, 1.0)
 
 
 class TestMonodromy:
@@ -306,7 +319,8 @@ class TestBlowUp:
         traj = propagate(DriveSignal(1.0, (0.0,), (self.OMEGA,)), LEFT, self.PERIOD, dt=dt)
         assert not np.isfinite(traj.states[-1]).all()
         assert not math.isfinite(traj.max_norm_drift)
-        _, drift = min_left_population_grid(1.0, [[0.0]], (self.OMEGA,), LEFT, 1, dt)
+        grid_drive = DriveSignal(1.0, [[0.0]], (self.OMEGA,))
+        _, drift = min_left_population_grid(grid_drive, LEFT, self.PERIOD, dt)
         assert not math.isfinite(drift)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")

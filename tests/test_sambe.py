@@ -120,6 +120,8 @@ class TestBuildMono:
             build_sambe_mono(two_level_static(1.0), two_level_drive_mono(1.0), -1.0, 2)
         with pytest.raises(ValueError, match="positive"):
             build_sambe_mono(two_level_static(1.0), two_level_drive_mono(1.0), math.nan, 2)
+        with pytest.raises(ValueError, match="positive"):
+            build_sambe_mono(two_level_static(1.0), two_level_drive_mono(1.0), math.inf, 2)
         with pytest.raises(ValueError):
             build_sambe_mono(two_level_static(1.0), two_level_drive_mono(1.0), 1.0, -1)
         with pytest.raises(DimensionError):

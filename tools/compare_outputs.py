@@ -39,9 +39,9 @@ EXCLUDED = {"manifest.json"}
 #: second tone is the slower one, an aah lift whose cutoff drops a
 #: direction (discarded_rank 1 at omega = 2.8), so soft_com follows near_null,
 #: a cdt-duo plane whose cutoff drops a +-lambda pair of the half-size
-#: route (discarded_rank 2 at three of its nine points), and four exit
-#: paths: a zero frequency and a NaN midgap window (both rejected at
-#: resolve time, exit 2), an RK4 step that overflows to NaN (the monodromy
+#: route (discarded_rank 2 at three of its nine points), and five exit
+#: paths: a zero frequency, a NaN midgap window and a one-site bounds
+#: chain (all rejected at resolve time, exit 2), an RK4 step that overflows to NaN (the monodromy
 #: unitarity gate, exit 3) and a coupling whose sigma_min^2 underflows to 0
 #: (exit 0, sigma_min 1e-200)
 EXTRA_INVOCATIONS = {
@@ -64,6 +64,7 @@ EXTRA_INVOCATIONS = {
     ],
     "cdt-duo-zero-frequency": ["cdt-duo", "--set", "omega1=0"],
     "ssh-nan-window": ["ssh", "--set", "window=nan"],
+    "bounds-one-site": ["bounds", "--set", "model=hn", "--set", "n_sites=1"],
     "cdt-mono-unstable-dt": ["cdt-mono", "--set", "omega=0.001", "--set", "amp_count=3"],
     "cdt-mono-tiny-coupling": ["cdt-mono", "--set", "j_coupling=1e-200", "--set", "amp_count=3"],
 }
