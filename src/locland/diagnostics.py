@@ -29,7 +29,8 @@ def average_right_density(op: Operator, gauge_eig: Spectrum | None = None) -> np
     landscape's gauge_eig to reuse it, or it is computed here.  D is
     rescaled by its maximum first; each column is normalized, so the
     density is unchanged and no entry can overflow.  Any other operator
-    goes through np.linalg.eig.
+    goes through np.linalg.eig, and a stack of them gives one density per
+    matrix.
     """
     if op.log_gauge is None:
         vectors = np.linalg.eig(op.entries)[1]
@@ -37,8 +38,8 @@ def average_right_density(op: Operator, gauge_eig: Spectrum | None = None) -> np
         eig = gauge_eig if gauge_eig is not None else gauge_eigh(op)
         vectors = np.exp(op.log_gauge - op.log_gauge.max())[:, None] * eig.right
     weights = np.abs(vectors) ** 2
-    weights /= weights.sum(axis=0)
-    return weights.mean(axis=1)
+    weights /= weights.sum(axis=-2, keepdims=True)
+    return weights.mean(axis=-1)
 
 
 def pearson(x: np.ndarray, y: np.ndarray) -> float:
@@ -193,13 +194,16 @@ def midgap_report(spectrum: Spectrum | None, energy_window: float | None = None)
     (LandscapeResult.spectrum), so the modes and that landscape come from
     one factorization.  The window defaults to 10% of the largest spectral
     gap.  A spectrum without energies (non-Hermitian H), or none (a
-    gauge-route solve), raises HermiticityError.
+    gauge-route solve), raises HermiticityError; the spectrum of a stack
+    raises DimensionError.
     """
     if spectrum is None or spectrum.energies is None:
         raise HermiticityError(
             "midgap modes need the energies of a Hermitian H; solve Operator(op.entries) instead"
         )
     energies = spectrum.energies
+    if energies.ndim != 1:
+        raise DimensionError("midgap_report reads the spectrum of one operator, not of a stack")
     if energy_window is None:
         energy_window = estimate_midgap_window(energies)
     if not energy_window >= 0.0:  # NaN fails too

@@ -19,6 +19,14 @@ at a time and yields the block.  propagate and the min_t P_L grid take
 one DriveSignal and t_end; the first keeps every stride-th row, the second
 a running minimum, both with the norm drift of every block.  The monodromy
 sweep keeps the last state and checks its unitarity.
+
+Every step map has the form (1 + r) I + i (x sigma_x + y sigma_y + z sigma_z)
+with real r, x, y, z, so it commutes with the antiunitary
+Theta = i sigma_y K (K complex conjugation), and so does their product U.
+The monodromy sweep therefore evolves only U|L> = (a, b) and reads
+U|R> = -Theta U|L> = (-b*, a*).  Complex multiplication and addition round
+the same under conjugation, so this second column is bitwise the one the
+stepper would give.
 """
 
 from __future__ import annotations
@@ -46,8 +54,9 @@ class DriveSignal:
     """Two-level model parameters: bias s(t) = sum_i amplitudes[i] cos(frequencies[i] t).
 
     amplitudes holds one value per tone (K,) or one such row per state of a
-    batch (B, K); frequencies (K,) lie in (0, inf).  Both are checked here,
-    once, and stored as read-only float arrays.
+    batch (B, K); frequencies (K,) lie in (0, inf); amplitudes and
+    j_coupling are finite.  They are checked here, once, and the arrays
+    stored as read-only float arrays.
     """
 
     j_coupling: float
@@ -61,6 +70,8 @@ class DriveSignal:
             raise ValueError("amplitudes and frequencies disagree on tone count")
         if not np.all((0.0 < freqs) & (freqs < math.inf)):  # NaN fails too
             raise ValueError(f"drive frequencies must be positive and finite, got {freqs}")
+        if not (np.all(np.isfinite(amps)) and math.isfinite(self.j_coupling)):
+            raise ValueError("drive amplitudes and j_coupling must be finite")
         amps.setflags(write=False)
         freqs.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
@@ -109,7 +120,7 @@ def _batch(drive: DriveSignal, psi0, dt):
     psi = np.asarray(psi0, dtype=complex)
     if psi.ndim not in (1, 2) or psi.shape[-1] != 2:
         raise ValueError("psi0 must be a 2-vector or a (B, 2) batch")
-    if np.abs(np.linalg.norm(psi, axis=-1) - 1.0).max() > 1e-8:
+    if not np.abs(np.linalg.norm(psi, axis=-1) - 1.0).max() <= 1e-8:  # NaN fails too
         raise NormalizationError("psi0 must be normalized to 1e-8")
     rows = np.broadcast_shapes(amps.shape[:-1], psi.shape[:-1]) or (1,)
     amps = np.array(np.broadcast_to(amps, rows + amps.shape[-1:]))
@@ -260,8 +271,10 @@ def monodromy_quasienergies_sweep(
 ):
     """Folded quasienergy pairs for a family of monochromatic amplitudes.
 
-    U(T) is integrated with the same RK4 stepper as propagate(); its
-    unitarity is checked to 1e-8 and an AccuracyError flags a too-coarse dt.
+    U(T) is integrated with the same RK4 stepper as propagate(), one row
+    U|L> per amplitude, its second column read as -Theta U|L> (see the module
+    docstring); its unitarity is checked to 1e-8 and an AccuracyError flags
+    a too-coarse dt.
     Eigenphases fold into [-omega/2, omega/2); returns an (n, 2) array with
     rows sorted ascending.  Row k does not depend on the other amplitudes.
     with_defect also returns the largest unitarity defect max |U^dag U - I|.
@@ -269,15 +282,14 @@ def monodromy_quasienergies_sweep(
     amps = np.asarray(amplitudes, dtype=float)
     if amps.ndim != 1:
         raise ValueError("the sweep takes one amplitude per point (one tone)")
-    # the two basis columns of U evolve as independent rows of the batch
-    basis = np.tile(np.eye(2, dtype=complex), (amps.size, 1))
-    drive = DriveSignal(j_coupling, np.repeat(amps, 2)[:, None], (omega,))
-    rows, freqs, psi, dt = _batch(drive, basis, dt)
+    drive = DriveSignal(j_coupling, amps[:, None], (omega,))
+    rows, freqs, psi, dt = _batch(drive, np.array([1.0, 0.0]), dt)
     period = 2.0 * math.pi / omega
     for _, block in _evolve(psi, period, dt, j_coupling, rows, freqs):
         pass
-    # stacked rows are U^T blocks: undo the transpose
-    u = block[-1].reshape(amps.size, 2, 2).transpose(0, 2, 1)
+    # U|L> = (a, b) and U|R> = (-b*, a*), stacked as the rows of U^T blocks
+    a, b = block[-1].T
+    u = np.stack([block[-1], np.stack([-b.conj(), a.conj()], axis=-1)], axis=1).transpose(0, 2, 1)
     defect = float(np.abs(u.conj().transpose(0, 2, 1) @ u - np.eye(2)).max())
     if not defect <= 1e-8:  # NaN fails too
         raise AccuracyError(f"monodromy propagator non-unitary at {defect:.2e}; reduce dt")

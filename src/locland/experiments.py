@@ -4,7 +4,8 @@ Each run_* function consumes a resolved RunConfig, returns the SweepReport
 that becomes report.csv / report.json, and writes its experiment-specific
 side files (profiles, peak tables, DOS grids, trajectories) into the output
 directory.  Grid points run one after another in grid order, so reruns are
-bit-exact.
+bit-exact; the two-level Sambe sweeps solve their points in stacks
+(_sambe_point), each point as it would be solved on its own.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .dynamics import (
 )
 from .errors import AccuracyError, ConfigError
 from .landscape import eigenmode_bound_report, solve_landscape
-from .linalg import Operator, normal_operator, pseudo_solve, weighted_mean_site
+from .linalg import Operator, batch_value, normal_operator, pseudo_solve, weighted_mean_site
 from .models import (
     SshConfig,
     aah_drive,
@@ -242,37 +243,73 @@ def run_hn(config: RunConfig) -> SweepReport:
 # ---------------------------------------------------------------------------
 
 
-def _sambe_point(h0, drive, omegas, truncations, rcond) -> tuple:
-    """Build and solve one Sambe lift: the columns every lifted point reports, and the solve."""
+#: lift entries per stacked Sambe solve: a sweep of d x d lifts is solved
+#: max(1, _STACK_ENTRIES // d^2) points per call, so lifts past d = 181
+#: (every cdt-duo and aah default) are still solved one per call
+_STACK_ENTRIES = 1 << 15
+
+
+def _solve_sambe(h0, drive, omegas, truncations, rcond) -> tuple:
+    """Build and solve one Sambe lift, or one stack of them: the columns every
+    lifted point reports, read per point, and the solve.
+
+    The lift is dropped on return, so a caller never holds two at once.
+    """
     lifted = build_sambe(h0, drive, omegas, truncations)
     res = solve_landscape(lifted.matrix, rcond)
     # soft_com is a mean site, so the harmonics are summed out first
-    site_profile = lifted.index_map.site_sum(res.peak_profile)
+    site_mean = weighted_mean_site(lifted.index_map.site_sum(res.peak_profile))
     return {
         "v_max_tot": res.v_max,
         "sigma_min": res.sigma_min,
-        "soft_com": math.nan if res.degenerate else weighted_mean_site(site_profile),
+        "soft_com": batch_value(np.where(res.degenerate, math.nan, site_mean)),
         "discarded_rank": res.discarded_rank,
         "edge_sector_weight": lifted.index_map.edge_sector_weight(res.amplitude),
     }, res
 
 
-def _cdt_mono_point(u: float, p: dict) -> dict:
+def _sambe_point(h0, drive_at, grid, omegas, truncations, rcond) -> dict:
+    """Build and solve the Sambe lifts of a sweep: the columns every lifted point reports.
+
+    grid is a tuple of equal-length arrays, one per swept drive parameter,
+    and drive_at(*values) gives the drive at those values, its blocks
+    stacked over them.  The lifts are solved in stacks of at most
+    _STACK_ENTRIES matrix entries, and each column holds one value per grid
+    point.  A grid of scalars is one point, solved on its own, with scalar
+    columns.
+    """
+    size = max(1, _STACK_ENTRIES // (h0.dim * math.prod(2 * m + 1 for m in truncations)) ** 2)
+    count = np.size(grid[0])
+    parts = []
+    for k in range(0, count, size):
+        values = [x[k : k + size] for x in grid] if np.ndim(grid[0]) else grid
+        parts.append(_solve_sambe(h0, drive_at(*values), omegas, truncations, rcond)[0])
+    if not np.ndim(grid[0]):
+        return parts[0]
+    return {key: np.concatenate([part[key] for part in parts]) for key in parts[0]}
+
+
+def _cdt_mono_point(u, p: dict) -> dict:
+    """The lifted columns at amplitude u = A / omega, or at every entry of an array u."""
     h0, omega = two_level_static(p["j_coupling"]), p["omega"]
-    drive = two_level_drive_mono(u * omega)
-    return _sambe_point(h0, drive, (omega,), (p["truncation"],), p["rcond"])[0]
+    return _sambe_point(
+        h0, lambda x: two_level_drive_mono(x * omega), (u,), (omega,), (p["truncation"],), p["rcond"]
+    )
 
 
 def run_cdt_mono(config: RunConfig) -> SweepReport:
     p = config.params
     us = np.linspace(p["amp_min"], p["amp_max"], p["amp_count"])
     omega = p["omega"]
-    table = _grid_map(lambda u: _cdt_mono_point(u, p), us)
+    table = _cdt_mono_point(us, p)
     dt = 2.0 * math.pi / omega / p["steps_per_period"]
     eps, unitarity_defect = monodromy_quasienergies_sweep(
         p["j_coupling"], us * omega, omega, dt, with_defect=True
     )
     gap = table["quasienergy_gap"] = np.array([quasienergy_gap(pair, omega) for pair in eps])
+    # the lift's smallest |eigenvalue| is the smallest folded |quasienergy| once
+    # the harmonic truncation has converged: this reports how far it is from that
+    truncation_error = float(np.abs(table["sigma_min"] - np.abs(eps).min(axis=1)).max())
     columns = _report_columns(table, "quasienergy_gap")
     log_vmax = columns["log10_vmax"]
 
@@ -302,6 +339,7 @@ def run_cdt_mono(config: RunConfig) -> SweepReport:
             "peak_positions": [pos for pos, _ in peaks],
             "gap_minimum_positions": gap_minima,
             "max_monodromy_unitarity_defect": unitarity_defect,
+            "max_abs_sigma_min_minus_min_folded_eps": truncation_error,
         },
     )
 
@@ -312,11 +350,17 @@ def run_cdt_mono(config: RunConfig) -> SweepReport:
 
 
 def _cdt_duo_point(pair, p: dict) -> dict:
-    a_u, b_u = pair
+    """The lifted columns at amplitudes pair = (A / omega1, B / omega1), scalars or equal arrays."""
     h0, omega1 = two_level_static(p["j_coupling"]), p["omega1"]
-    drive = two_level_drive_duo(a_u * omega1, b_u * omega1)
     omegas = (omega1, p["omega2_ratio"] * omega1)
-    return _sambe_point(h0, drive, omegas, (p["truncation1"], p["truncation2"]), p["rcond"])[0]
+    return _sambe_point(
+        h0,
+        lambda a, b: two_level_drive_duo(a * omega1, b * omega1),
+        tuple(pair),
+        omegas,
+        (p["truncation1"], p["truncation2"]),
+        p["rcond"],
+    )
 
 
 #: partially left-localized initial state used in the trajectory panels
@@ -349,7 +393,7 @@ def run_cdt_duo(config: RunConfig) -> SweepReport:
     min_pl, grid_drift = min_left_population_grid(grid_drive, psi_left, t_end, dt)
     if not grid_drift <= NORM_DRIFT_LIMIT:
         raise AccuracyError(f"min_PL grid drifts from unit norm by {grid_drift:.2e}; reduce dt")
-    table = _grid_map(lambda pair: _cdt_duo_point(pair, p), grid_pairs)
+    table = _cdt_duo_point(np.array(grid_pairs).T, p)
     table["min_PL"] = min_pl
     vmax = table["v_max_tot"]
     columns = _report_columns(table, "min_PL")
@@ -358,9 +402,9 @@ def run_cdt_duo(config: RunConfig) -> SweepReport:
     # exact reduction: the B = 0 sweep with no second harmonic sector is the
     # monochromatic operator re-indexed, so v_max must match to roundoff
     mono_p = {**p, "omega": omega1, "truncation": p["truncation1"]}
-    mono = np.array([_cdt_mono_point(a, mono_p)["v_max_tot"] for a in a_us])
+    mono = _cdt_mono_point(a_us, mono_p)["v_max_tot"]
     b0_p = {**p, "truncation2": 0}
-    duo_b0 = np.array([_cdt_duo_point((a, 0.0), b0_p)["v_max_tot"] for a in a_us])
+    duo_b0 = _cdt_duo_point((a_us, np.zeros_like(a_us)), b0_p)["v_max_tot"]
     reduction_diff = float(np.abs(duo_b0 - mono).max() / np.abs(mono).max())
     if not reduction_diff <= REDUCTION_LIMIT:
         raise AccuracyError(f"B = 0 sweep differs from the one-tone sweep by {reduction_diff:.2e}")
@@ -434,7 +478,7 @@ def _aah_point(omega: float, p: dict) -> dict:
     n, alpha, theta = p["n_sites"], p["alpha"], p["theta"]
     h0 = aah_static(n, p["hopping"], p["lambda0"], alpha, theta)
     drive = aah_drive(n, p["amplitude"], alpha, theta)
-    columns, res = _sambe_point(h0, drive, (omega,), (p["truncation"],), p["rcond"])
+    columns, res = _solve_sambe(h0, drive, (omega,), (p["truncation"],), p["rcond"])
     ipr = (np.abs(res.spectrum.right) ** 4).sum(axis=0)
     centers, density = floquet_dos(res.spectrum.energies, omega, p["bin_width"])
     return {

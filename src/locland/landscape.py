@@ -5,6 +5,11 @@ cutoff pseudoinverse, or exactly through the imaginary gauge when H carries
 one.  Its amplitude profile |v| bounds eigenmode amplitudes and blows up
 like sigma_min(H)^-2 whenever H develops a near-zero singular value, which
 is what makes v_max a gap-closing and localization diagnostic.
+
+A stack of operators (linalg.Operator of shape (..., d, d)) is solved by one
+stacked factorization, and every observable is read per matrix: the cutoff
+is a per-row keep mask over the singular values, so matrices of one stack
+may discard different ranks.  A single operator is the stack of shape ().
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from .linalg import (
     DEFAULT_RCOND,
     Operator,
     Spectrum,
+    batch_value,
     factorize,
     gauge_eigh,
     weighted_mean_site,
@@ -43,6 +49,10 @@ class LandscapeResult:
     solve has spectrum None and carries the factorization of the gauge
     partner T, never of H, in gauge_eig.  Construction validates v_max =
     max amplitude and norm_bound_chain.
+
+    A stacked solve holds one of each per matrix: the vectors are (..., d)
+    and v_max, soft_com, sigma_min and discarded_rank arrays over the
+    stack's leading axes (Python scalars for a single operator).
     """
 
     amplitude: np.ndarray
@@ -59,15 +69,16 @@ class LandscapeResult:
     def __post_init__(self):
         if self.amplitude.shape != self.v_complex.shape:
             raise DimensionError("amplitude and v_complex must have equal length")
-        if self.amplitude.size and self.v_max != float(self.amplitude.max()):
+        if self.amplitude.size and np.any(self.v_max != self.amplitude.max(axis=-1)):
             raise AccuracyError("v_max does not equal max |v_j|")
-        if self.norm_bound_chain is False:
+        says, holds = self._bound_chain()
+        if np.any(says & ~holds):
             raise AccuracyError("norm bound chain v_max <= ||v||_2 <= sqrt(d)/sigma_min^2 violated")
 
     @property
-    def degenerate(self) -> bool:
+    def degenerate(self):
         """Whether the cutoff discarded every direction, leaving v = 0."""
-        return self.discarded_rank == self.amplitude.size
+        return self.discarded_rank == self.amplitude.shape[-1]
 
     @property
     def peak_profile(self) -> np.ndarray:
@@ -75,29 +86,36 @@ class LandscapeResult:
         return _peak_profile(self.near_null, self.amplitude)
 
     @property
-    def norm2(self) -> float:
-        return float(np.linalg.norm(self.v_complex))
+    def norm2(self):
+        """||v||_2, one per matrix of a stack."""
+        v = self.v_complex
+        return float(np.linalg.norm(v)) if v.ndim == 1 else np.linalg.norm(v, axis=-1)
 
     @property
-    def norm_bound_chain(self) -> bool | None:
+    def norm_bound_chain(self):
         """Whether v_max <= ||v||_2 <= sqrt(d) / sigma_min^2 holds, to _BOUND_RTOL.
 
         None where the chain says nothing: a degenerate solve or sigma_min = 0.
         The right-hand side is checked multiplied out, so a sigma_min^2 that
         underflows to 0 leaves that bound +inf instead of dividing by zero.
+        A stack gives an object array of these, one per matrix.
         """
-        if self.degenerate or self.sigma_min <= 0.0:
-            return None
+        return batch_value(np.where(*self._bound_chain(), None))
+
+    def _bound_chain(self) -> tuple:
+        """(whether the chain says anything, whether it holds), per matrix."""
+        sigma_min = np.asarray(self.sigma_min)
         slack = 1.0 + _BOUND_RTOL
         l2 = self.norm2
-        return bool(
-            self.v_max <= l2 * slack
-            and l2 * self.sigma_min**2 <= math.sqrt(self.amplitude.size) * slack
+        holds = (self.v_max <= l2 * slack) & (
+            l2 * sigma_min**2 <= math.sqrt(self.amplitude.shape[-1]) * slack
         )
+        return ~np.asarray(self.degenerate) & (sigma_min > 0.0), holds
 
 
 def _peak_profile(near_null: np.ndarray, amplitude: np.ndarray) -> np.ndarray:
-    return near_null if near_null.any() else amplitude
+    """Per vector: near_null where it is nonzero anywhere, amplitude otherwise."""
+    return np.where(near_null.any(axis=-1, keepdims=True), near_null, amplitude)
 
 
 def solve_landscape(op: Operator, rcond: float = DEFAULT_RCOND) -> LandscapeResult:
@@ -124,6 +142,11 @@ def solve_landscape(op: Operator, rcond: float = DEFAULT_RCOND) -> LandscapeResu
 
     A fully degenerate H (all singular values below the cutoff) yields the
     zero vector, degenerate set and soft_com NaN.
+
+    A stack of operators takes one stacked factorization, and the cutoff
+    applies to each matrix against its own s_max: the dropped directions
+    are a per-row mask (zero weights in the sums over directions), so each
+    matrix of the stack is solved as it would be on its own, to roundoff.
     """
     if not 0.0 < rcond < 1.0:
         raise ValueError(f"rcond must lie in (0, 1), got {rcond}")
@@ -131,31 +154,40 @@ def solve_landscape(op: Operator, rcond: float = DEFAULT_RCOND) -> LandscapeResu
     if op.log_gauge is not None:
         eig = gauge_eigh(op)
         v, sigma_min = _solve_gauged(op, eig)
-        kept, near_null = op.dim, np.zeros(op.dim)
+        keep, near_null = np.ones(op.dim, dtype=bool), np.zeros(op.dim)
     else:
         spectrum = factorize(op)
         sigma = spectrum.sigma
-        keep = sigma**2 > rcond * sigma.max() ** 2
-        kept = int(np.count_nonzero(keep))
-        ones = np.ones(op.dim)
-        dropped = spectrum.right[:, ~keep]
-        near_null = np.abs(dropped @ (dropped.conj().T @ ones))
-        right = spectrum.right[:, keep]
-        v = right @ ((right.conj().T @ ones) / sigma[keep] ** 2)
-        sigma_min = float(sigma.min())
+        keep = sigma**2 > rcond * sigma.max(axis=-1, keepdims=True) ** 2
+        # V^T with contiguous rows: the layout in which the sums over
+        # directions below have always been taken, so they round as before
+        rows = np.ascontiguousarray(spectrum.right.swapaxes(-1, -2))
+        overlap = rows.conj() @ np.ones(op.dim)  # V^dag 1
+        near_null = np.abs(_combine(rows, np.where(keep, 0.0, overlap)))
+        weights = np.divide(overlap, sigma**2, out=np.zeros_like(overlap), where=keep)
+        v = _combine(rows, weights)
+        sigma_min = batch_value(sigma.min(axis=-1))
+    kept = np.count_nonzero(keep, axis=-1)
     amplitude = np.abs(v)
+    # a matrix with nothing kept has v = 0 but near_null = |1|, so no profile is all zero
+    soft_com = np.where(kept > 0, weighted_mean_site(_peak_profile(near_null, amplitude)), math.nan)
     return LandscapeResult(
         amplitude=amplitude,
         v_complex=v,
-        v_max=float(amplitude.max()),
-        soft_com=weighted_mean_site(_peak_profile(near_null, amplitude)) if kept else math.nan,
+        v_max=batch_value(amplitude.max(axis=-1)),
+        soft_com=batch_value(soft_com),
         sigma_min=sigma_min,
         rcond_used=rcond,
-        discarded_rank=op.dim - kept,
+        discarded_rank=batch_value(op.dim - kept),
         spectrum=spectrum,
         near_null=near_null,
         gauge_eig=eig,
     )
+
+
+def _combine(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sum_k weights[k] rows[k], per matrix of a stack (one gemv each)."""
+    return (rows.swapaxes(-1, -2) @ weights[..., None])[..., 0]
 
 
 def _solve_gauged(op: Operator, eig: Spectrum) -> tuple:
@@ -201,7 +233,8 @@ def eigenmode_bound_report(result: LandscapeResult) -> list:
     setting the bound is an empirical question, and this report is the
     measurement.  It needs the right singular vectors of H, which only the
     generic route has: solve a gauge-carrying operator as
-    Operator(op.entries) to report on it.
+    Operator(op.entries) to report on it.  It reads one operator's solve,
+    not a stack's.
     """
     if result.discarded_rank > 0:
         raise DegenerateInputError(

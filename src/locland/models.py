@@ -123,28 +123,33 @@ def two_level_static(j_coupling: float) -> Operator:
     return Operator(m)
 
 
-def two_level_drive_mono(amplitude: float) -> dict:
+def _bias_block(amplitude) -> Operator:
+    """(A/4) sigma_z, or the stack of them over an array of amplitudes A >= 0."""
+    amplitude = np.asarray(amplitude, dtype=float)
+    if np.any(amplitude < 0.0):
+        raise ValueError("drive amplitudes must be >= 0")
+    return Operator(np.multiply.outer(0.25 * amplitude, _SIGMA_Z))
+
+
+def two_level_drive_mono(amplitude) -> dict:
     """Single-tone bias drive s(t) sigma_z / 2 with s(t) = A cos(W t).
 
     The cosine and the 1/2 in front of sigma_z leave (A/4) sigma_z on the
-    +1 and -1 harmonics.
+    +1 and -1 harmonics.  An array of amplitudes gives stacked blocks, one
+    per amplitude, which build_sambe lifts as a stack.
     """
-    if amplitude < 0.0:
-        raise ValueError("drive amplitude must be >= 0")
-    block = Operator(0.25 * amplitude * _SIGMA_Z)
+    block = _bias_block(amplitude)
     return {1: block, -1: block}
 
 
-def two_level_drive_duo(a_amplitude: float, b_amplitude: float) -> dict:
+def two_level_drive_duo(a_amplitude, b_amplitude) -> dict:
     """Two-tone bias drive with s(t) = A cos(W1 t) + B cos(W2 t).
 
     Blocks are keyed by harmonic pairs: (A/4) sigma_z on (+-1, 0) and
-    (B/4) sigma_z on (0, +-1).
+    (B/4) sigma_z on (0, +-1).  Arrays of amplitudes give stacked blocks,
+    as in two_level_drive_mono.
     """
-    if a_amplitude < 0.0 or b_amplitude < 0.0:
-        raise ValueError("drive amplitudes must be >= 0")
-    block_a = Operator(0.25 * a_amplitude * _SIGMA_Z)
-    block_b = Operator(0.25 * b_amplitude * _SIGMA_Z)
+    block_a, block_b = _bias_block(a_amplitude), _bias_block(b_amplitude)
     return {(1, 0): block_a, (-1, 0): block_a, (0, 1): block_b, (0, -1): block_b}
 
 

@@ -13,6 +13,10 @@ P = sigma_x (x) (-1)^(sum m) behind coherent destruction of tunneling and
 the chiral pairing S = J (x) (m -> -m), J = [[0, 1], [-1, 0]].  Operator
 keeps them where they hold exactly (P commutes with H, S anticommutes with
 H and P), as on the driven two-level system, so factorize solves half of it.
+
+Drive blocks may be stacks (..., n, n), one block per point of a parameter
+sweep; the lift is then the stack (..., d, d) of the lifts of those points,
+which linalg.factorize solves in one stacked call.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError
-from .linalg import Operator, SignedPermutation
+from .linalg import Operator, SignedPermutation, batch_value
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,28 +73,31 @@ class SambeIndexMap:
         return np.ravel_multi_index(tuple(np.moveaxis(shifted, -1, 0)[::-1]), self._shape)
 
     def _by_sector(self, values) -> np.ndarray:
-        """A flat extended-space vector as a (sector_count, base_dim) array."""
+        """Flat extended-space vectors (..., flat_dim) as (..., sector_count, base_dim)."""
         v = np.asarray(values)
-        if v.shape != (self.flat_dim,):
-            raise DimensionError(f"vector has shape {v.shape}, expected ({self.flat_dim},)")
-        return v.reshape(self.sector_count, self.base_dim)
+        if v.shape[-1:] != (self.flat_dim,):
+            raise DimensionError(f"vector has shape {v.shape}, expected (..., {self.flat_dim})")
+        return v.reshape(v.shape[:-1] + (self.sector_count, self.base_dim))
 
     def site_sum(self, values: np.ndarray) -> np.ndarray:
-        """Sum a flat extended-space vector over harmonics: w(site) = sum_m values(site, m)."""
-        return self._by_sector(values).sum(axis=0)
+        """Sum flat extended-space vectors over harmonics: w(site) = sum_m values(site, m)."""
+        return self._by_sector(values).sum(axis=-2)
 
-    def edge_sector_weight(self, values: np.ndarray) -> float:
-        """Fraction of sum |values| in the sectors on the truncation edge.
+    def edge_sector_weight(self, values: np.ndarray):
+        """Fraction of sum |values| in the sectors on the truncation edge, per vector.
 
         A sector is on the edge when some tone with M_i > 0 sits at
         |m_i| = M_i.  A large fraction means the harmonic truncation cuts
         off weight the vector still carries; NaN for an all-zero vector.
         """
-        per_sector = np.abs(self._by_sector(values)).sum(axis=1)
+        per_sector = np.abs(self._by_sector(values)).sum(axis=-1)
         m = np.array(self.truncations, dtype=int)
-        edge = np.any((np.abs(self.harmonics) == m) & (m > 0), axis=1)
-        total = per_sector.sum()
-        return float(per_sector[edge].sum() / total) if total else float("nan")
+        edge = np.flatnonzero(np.any((np.abs(self.harmonics) == m) & (m > 0), axis=1))
+        total = per_sector.sum(axis=-1)
+        # take keeps the edge sectors of each vector contiguous, so each sum
+        # rounds as it does for one vector
+        with np.errstate(invalid="ignore"):  # 0 / 0 is the NaN of an all-zero vector
+            return batch_value(per_sector.take(edge, axis=-1).sum(axis=-1) / total)
 
 
 @functools.lru_cache(maxsize=16)
@@ -129,6 +136,10 @@ def build_sambe(h0: Operator, drive: dict, omegas, truncations) -> SambeOperator
     Operator keeps where they are exact symmetries.  A harmonic coupling no
     retained sector pair adds nothing; a block of the wrong dim or a key of
     the wrong tone count raises DimensionError.
+
+    h0 is one operator, but the blocks may be stacks (..., n, n): the lift
+    is then the stack of the lifts of every matrix of the broadcast block
+    stacks, each entry for entry the lift of that point on its own.
     """
     omegas = tuple(omegas)
     truncations = tuple(truncations)
@@ -140,10 +151,14 @@ def build_sambe(h0: Operator, drive: dict, omegas, truncations) -> SambeOperator
     harmonics = index_map.harmonics
     n, s = h0.dim, index_map.sector_count
     dtype = np.result_type(h0.entries, *(block.entries for block in drive.values()))
-    mat = np.zeros((s, n, s, n), dtype=dtype)
+    batch = np.broadcast_shapes(*(block.entries.shape[:-2] for block in drive.values()))
+    mat = np.zeros(batch + (s, n, s, n), dtype=dtype)
     diag = np.arange(s)
     shifts = sum(harmonics[:, i] * w for i, w in enumerate(omegas))
-    mat[diag, :, diag, :] = h0.entries + shifts[:, None, None] * np.eye(n, dtype=dtype)
+    # the two sector indices put the selected sectors first, ahead of the stack axes
+    mat[..., diag, :, diag, :] = (h0.entries + shifts[:, None, None] * np.eye(n, dtype=dtype)).reshape(
+        (s,) + (1,) * len(batch) + (n, n)
+    )
     for key, block in drive.items():
         if block.dim != n:
             raise DimensionError(f"drive block {key!r} has dim {block.dim}, expected {n}")
@@ -152,10 +167,10 @@ def build_sambe(h0: Operator, drive: dict, omegas, truncations) -> SambeOperator
             raise DimensionError(f"drive key {key!r} does not name {len(omegas)} tones")
         target = harmonics - delta
         inside = np.all(np.abs(target) <= truncations, axis=1)
-        mat[diag[inside], :, index_map.sectors(target[inside]), :] += block.entries
+        mat[..., diag[inside], :, index_map.sectors(target[inside]), :] += block.entries
     maps = _two_level_maps(truncations) if n == 2 else None
     return SambeOperator(
-        matrix=Operator(mat.reshape(index_map.flat_dim, -1), parity_pairing=maps),
+        matrix=Operator(mat.reshape(batch + (index_map.flat_dim,) * 2), parity_pairing=maps),
         index_map=index_map,
     )
 

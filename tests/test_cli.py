@@ -778,6 +778,46 @@ class TestHalfSizeLift:
         assert shapes == [("eigh", np.float64, (1040, 1040))]
 
 
+class TestStackedSweep:
+    """A two-level sweep is solved in stacks inside the entry budget, each point as on its own."""
+
+    def test_cdt_mono_sweep_is_its_points(self, monkeypatch):
+        # M = 8: d = 2 x 17 = 34, so 28 lifts per stack and 18 stacked eigh calls
+        p = {**TestOneFactorization.default_params("cdt-mono"), "truncation": 8}
+        us = np.linspace(0.0, 10.0, 500)
+        lifts = []
+
+        def recorded(*args):
+            lifted = build_sambe(*args)
+            lifts.append(lifted.matrix.entries.shape)
+            return lifted
+
+        monkeypatch.setattr(experiments, "build_sambe", recorded)
+        shapes = TestOneFactorization.record_factorizations(
+            monkeypatch, lambda name, matrix: (name, matrix.shape)
+        )
+        table = _cdt_mono_point(us, p)
+        chunk = experiments._STACK_ENTRIES // 34**2
+        assert len(shapes) == math.ceil(us.size / chunk) == 18
+        assert {name for name, _ in shapes} == {"eigh"}
+        assert sum(shape[0] for _, shape in shapes) == us.size
+        assert all(math.prod(shape) <= experiments._STACK_ENTRIES for shape in lifts)
+        assert all(math.prod(shape) <= experiments._STACK_ENTRIES for _, shape in shapes)
+        monkeypatch.undo()
+        for k, u in enumerate(us):
+            point = _cdt_mono_point(u, p)
+            assert {name: table[name][k] for name in point} == point, k
+
+    def test_cdt_duo_lifts_stay_one_per_call(self, monkeypatch):
+        # d = 338 exceeds the budget on its own, so each point is its own half-size eigh
+        shapes = TestOneFactorization.record_factorizations(
+            monkeypatch, lambda name, matrix: (name, matrix.shape)
+        )
+        _cdt_duo_point((np.array([0.5, 2.5, 8.0]), np.array([1.0, 8.0, 0.0])),
+                       TestOneFactorization.default_params("cdt-duo"))
+        assert shapes == [("eigh", (1, 169, 169))] * 3
+
+
 class TestSweepTable:
     """Each report row of a swept run is its point function at that row's axis value."""
 

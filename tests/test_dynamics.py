@@ -50,6 +50,14 @@ class TestDriveSignal:
         with pytest.raises(ValueError):
             DriveSignal(1.0, ((1.0, 2.0), (3.0, 4.0)), (1.0,))
 
+    def test_rejects_non_finite_amplitudes(self):
+        with pytest.raises(ValueError, match="finite"):
+            DriveSignal(1.0, (math.nan,), (10.0,))
+
+    def test_rejects_non_finite_coupling(self):
+        with pytest.raises(ValueError, match="finite"):
+            DriveSignal(math.nan, (1.0,), (10.0,))
+
     def test_arrays_are_read_only(self):
         amps = np.array([[1.0, 2.0], [3.0, 4.0]])
         drive = DriveSignal(1.0, amps, (1.0, 2.0))
@@ -107,6 +115,11 @@ class TestPropagate:
             propagate(drive, np.array([1.0, 1.0]), 1.0)
         with pytest.raises(ValueError):
             propagate(drive, np.array([1.0, 0.0, 0.0]), 1.0)
+
+    def test_non_finite_state_is_rejected(self):
+        # a NaN norm is not within 1e-8 of 1
+        with pytest.raises(NormalizationError):
+            propagate(DriveSignal(1.0, (1.0,), (10.0,)), np.array([math.nan, 0.0]), 1.0)
 
     def test_step_halving_fourth_order(self):
         drive = DriveSignal(1.0, (15.0,), (10.0,))
@@ -295,6 +308,20 @@ class TestMonodromy:
         for k, amp in enumerate(amps):
             single = monodromy_quasienergies(amp, omega)
             assert np.abs(sweep[k] - single).max() < 1e-12
+
+    def test_sweep_is_two_row_propagate_bitwise(self):
+        # the sweep evolves U|L> only and reads U|R> as -Theta U|L>; propagating
+        # both basis states gives the same U, and so the same eigenphases, to the bit
+        omega = 10.0
+        period = 2.0 * math.pi / omega
+        dt = period / 2000
+        amps = np.array([0.0, 11.0, 24.05, 60.0, 86.5, 100.0])
+        sweep = monodromy_quasienergies_sweep(1.0, amps, omega, dt)
+        for k, amp in enumerate(amps):
+            traj = propagate(DriveSignal(1.0, (amp,), (omega,)), np.eye(2), period, dt)
+            u = traj.states[-1].T  # row b of the final states is U e_b
+            eps = np.sort(fold_quasienergy(-np.angle(np.linalg.eigvals(u)) / period, omega))
+            assert np.array_equal(sweep[k], eps), k
 
     def test_matches_extended_space_spectrum_moderate_drive(self):
         # at A / omega = 2 the truncated extended-space operator at M = 6 is

@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from locland import (
     AccuracyError,
     DegenerateInputError,
+    DimensionError,
     HermiticityError,
     LandscapeResult,
     Operator,
@@ -15,19 +16,24 @@ from locland import (
     aah_drive,
     aah_static,
     average_right_density,
+    build_sambe,
     domain_wall_site,
     eigenmode_bound_report,
     hatano_nelson,
+    midgap_report,
     normal_operator,
     pseudo_solve,
     solve_landscape,
     ssh,
+    two_level_drive_duo,
+    two_level_drive_mono,
+    two_level_static,
 )
-from locland.experiments import _sambe_point
+from locland.experiments import _solve_sambe
 from locland.linalg import weighted_mean_site
 
 from conftest import random_complex, random_hermitian_pd
-from oracles import hatano_nelson_mp_reference
+from oracles import hatano_nelson_mp_reference, j0_zero_bisection
 
 
 def anderson_type_chain(rng, n_sites, hopping=0.5):
@@ -82,7 +88,7 @@ class TestSolveLandscape:
     def test_site_marginalized_soft_com(self):
         # a lifted point's soft_com is the mean site after the harmonic sum
         h0 = aah_static(5, 1.0, 2.8, 0.618)
-        columns, res = _sambe_point(h0, aah_drive(5, 3.7, 0.618), (2.5,), (1,), 1e-12)
+        columns, res = _solve_sambe(h0, aah_drive(5, 3.7, 0.618), (2.5,), (1,), 1e-12)
         assert res.discarded_rank == 0
         weights = res.amplitude.reshape(3, 5).sum(axis=0)
         expected = (np.arange(1, 6) @ weights) / weights.sum()
@@ -355,3 +361,95 @@ class TestNormChainProperty:
         res = solve_landscape(chain)
         assert res.discarded_rank == 0
         self.assert_chain(res, chain.dim)
+
+
+class TestStackedSolve:
+    """A solve of a stack of operators is the solves of its operators, one by one."""
+
+    @staticmethod
+    def assert_items_match(stack, singles, rcond):
+        res = solve_landscape(stack, rcond)
+        for k, op in enumerate(singles):
+            one = solve_landscape(op, rcond)
+            assert res.sigma_min[k] == one.sigma_min, k
+            assert res.discarded_rank[k] == one.discarded_rank, k
+            scale = np.abs(one.v_complex).max()
+            assert np.abs(res.v_complex[k] - one.v_complex).max() <= 1e-12 * scale, k
+        return res
+
+    @staticmethod
+    def straddling_rcond(singles) -> float:
+        """A cutoff between the smallest and largest (sigma_min / sigma_max)^2 of the family."""
+        ratios = []
+        for op in singles:
+            sigma = solve_landscape(op).spectrum.sigma
+            ratios.append((sigma.min() / sigma.max()) ** 2)
+        lo, hi = min(ratios), max(ratios)
+        assume(0.0 < lo < hi < 1.0)
+        return math.sqrt(lo * hi)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        offsets=st.lists(st.floats(-0.02, 0.02), min_size=2, max_size=6, unique=True),
+        truncation=st.integers(1, 6),
+    )
+    def test_one_tone_family_across_the_cutoff(self, offsets, truncation):
+        # amplitudes around the first zero of J0, where the lift's sigma_min closes
+        omega, h0 = 10.0, two_level_static(1.0)
+        amps = (j0_zero_bisection(2.0, 3.0) + np.array(offsets)) * omega
+        lift = lambda a: build_sambe(h0, two_level_drive_mono(a), (omega,), (truncation,)).matrix
+        singles = [lift(a) for a in amps]
+        stack = lift(amps)
+        assert stack.parity_pairing is not None and stack.entries.shape[0] == len(amps)
+        res = self.assert_items_match(stack, singles, self.straddling_rcond(singles))
+        assert len(set(res.discarded_rank.tolist())) > 1
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        offsets=st.lists(st.floats(-0.05, 0.05), min_size=2, max_size=5, unique=True),
+        b_amp=st.floats(0.0, 10.0),
+    )
+    def test_two_tone_family_across_the_cutoff(self, offsets, b_amp):
+        omegas, h0 = (10.0, 10.0 * math.sqrt(2.0)), two_level_static(1.0)
+        a_amps = (j0_zero_bisection(2.0, 3.0) + np.array(offsets)) * omegas[0]
+        b_amps = np.full_like(a_amps, b_amp)
+        lift = lambda a, b: build_sambe(h0, two_level_drive_duo(a, b), omegas, (2, 2)).matrix
+        singles = [lift(a, b) for a, b in zip(a_amps, b_amps)]
+        stack = lift(a_amps, b_amps)
+        assert stack.parity_pairing is not None
+        res = self.assert_items_match(stack, singles, self.straddling_rcond(singles))
+        assert len(set(res.discarded_rank.tolist())) > 1
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        count=st.integers(1, 5),
+        d=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+        hermitian=st.booleans(),
+        is_complex=st.booleans(),
+        rcond=st.sampled_from([1e-12, 1e-3, 0.1, 0.5]),
+    )
+    def test_random_stacks(self, count, d, seed, hermitian, is_complex, rcond):
+        # an exactly Hermitian stack takes the eigh route, any other the SVD
+        rng = np.random.default_rng(seed)
+        m = rng.normal(size=(count, d, d))
+        if is_complex:
+            m = m + 1j * rng.normal(size=(count, d, d))
+        if hermitian:
+            m = 0.5 * (m + m.conj().swapaxes(-1, -2))
+        stack = Operator(m)
+        res = self.assert_items_match(stack, [Operator(x) for x in m], rcond)
+        assert (res.spectrum.energies is not None) == (hermitian or d == 1 and not is_complex)
+
+    def test_per_matrix_helpers(self, rng):
+        m = rng.normal(size=(3, 6, 6)) + 1j * rng.normal(size=(3, 6, 6))
+        stack = Operator(m)
+        normal = normal_operator(stack).entries
+        density = average_right_density(stack)
+        for k in range(3):
+            assert np.array_equal(normal[k], normal_operator(Operator(m[k])).entries)
+            assert np.array_equal(density[k], average_right_density(Operator(m[k])))
+        with pytest.raises(DimensionError):
+            pseudo_solve(normal_operator(stack), np.ones(6))
+        with pytest.raises(DimensionError):
+            midgap_report(solve_landscape(normal_operator(stack)).spectrum)
